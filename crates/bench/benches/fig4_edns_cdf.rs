@@ -6,11 +6,13 @@ use xl_bench::{emit, BENCH_SAMPLE_CAP, BENCH_SEED};
 use xlayer_core::prelude::*;
 
 fn bench(c: &mut Criterion) {
-    let (edns, frag) = figure4_edns_vs_fragment(BENCH_SEED, BENCH_SAMPLE_CAP);
+    let (edns, frag) = figure4_edns_vs_fragment_with(&CampaignConfig::new(BENCH_SEED, BENCH_SAMPLE_CAP));
     emit(&render_cdfs("Figure 4 — resolver EDNS size vs nameserver minimum fragment size (CDF)", &[edns, frag]));
     let mut group = c.benchmark_group("fig4");
     group.sample_size(10);
-    group.bench_function("edns_vs_fragment_cdf", |b| b.iter(|| figure4_edns_vs_fragment(BENCH_SEED, 2_000)));
+    group.bench_function("edns_vs_fragment_cdf", |b| {
+        b.iter(|| figure4_edns_vs_fragment_with(&CampaignConfig::new(BENCH_SEED, 2_000)))
+    });
     group.finish();
 }
 

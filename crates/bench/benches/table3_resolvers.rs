@@ -5,11 +5,11 @@ use xl_bench::{emit, BENCH_SAMPLE_CAP, BENCH_SEED};
 use xlayer_core::prelude::*;
 
 fn bench(c: &mut Criterion) {
-    let rows = run_table3(BENCH_SEED, BENCH_SAMPLE_CAP);
+    let rows = run_table3_with(&CampaignConfig::new(BENCH_SEED, BENCH_SAMPLE_CAP));
     emit(&render_table3(&rows));
     let mut group = c.benchmark_group("table3");
     group.sample_size(10);
-    group.bench_function("campaign_small_cap", |b| b.iter(|| run_table3(BENCH_SEED, 1_000)));
+    group.bench_function("campaign_small_cap", |b| b.iter(|| run_table3_with(&CampaignConfig::new(BENCH_SEED, 1_000))));
     group.finish();
 }
 

@@ -10,7 +10,7 @@ use xl_bench::{emit, BENCH_SEED};
 use xlayer_core::prelude::*;
 
 fn bench(c: &mut Criterion) {
-    let report = run_table6(BENCH_SEED, 5_000, 1);
+    let report = run_table6_with(&CampaignConfig::new(BENCH_SEED, 5_000), 1);
     emit(&render_table6(&report));
     let sad = saddns_effectiveness(1, BENCH_SEED);
     println!(

@@ -193,26 +193,6 @@ pub trait Campaign: Sync {
             tally.observe(&self.draw(rng));
         }
     }
-
-    /// Like [`fold_shard`](Self::fold_shard), but with a per-shard metrics
-    /// snapshot the campaign may record into. The default ignores the
-    /// snapshot entirely, so campaigns that don't opt in pay nothing — the
-    /// hot fold paths keep running branch-free.
-    fn fold_shard_recorded(
-        &self,
-        rng: &mut ChaCha20Rng,
-        count: usize,
-        tally: &mut Self::Tally,
-        _metrics: &mut telemetry::MetricsSnapshot,
-    ) {
-        self.fold_shard(rng, count, tally);
-    }
-
-    /// Exports campaign-level metrics derived from the **final merged**
-    /// tally. Called exactly once per run (never per shard), so exported
-    /// values are pure functions of the deterministic tally and therefore
-    /// byte-identical at any worker count. The default exports nothing.
-    fn export_metrics(&self, _tally: &Self::Tally, _metrics: &mut telemetry::MetricsSnapshot) {}
 }
 
 /// Runs `job` for every shard id in `0..shards` across `workers` threads and
@@ -275,37 +255,6 @@ pub fn run_campaign<C: Campaign>(campaign: &C, n: usize, cfg: &CampaignConfig) -
     acc
 }
 
-/// Runs a campaign like [`run_campaign`] and additionally returns a merged
-/// [`telemetry::MetricsSnapshot`]. Per-shard snapshots (filled by
-/// [`Campaign::fold_shard_recorded`]) are merged in ascending shard order,
-/// then [`Campaign::export_metrics`] runs once over the final merged tally.
-/// Because snapshot merging is commutative and the shard fold order is
-/// fixed, the snapshot is byte-identical at any worker count.
-pub fn run_campaign_with_metrics<C: Campaign>(
-    campaign: &C,
-    n: usize,
-    cfg: &CampaignConfig,
-) -> (C::Tally, telemetry::MetricsSnapshot) {
-    let stream = SeedStream::new(cfg.seed, campaign.salt());
-    let parts = run_shards(shard_count(n), cfg.workers, |shard| {
-        let mut rng = stream.shard(shard as u64);
-        let mut tally = campaign.new_tally();
-        let mut metrics = telemetry::MetricsSnapshot::new();
-        campaign.fold_shard_recorded(&mut rng, shard_range(n, shard).len(), &mut tally, &mut metrics);
-        (tally, metrics)
-    });
-    let mut acc = campaign.new_tally();
-    let mut metrics = telemetry::MetricsSnapshot::new();
-    for (tally, part_metrics) in parts {
-        acc.merge(tally);
-        metrics.merge(&part_metrics);
-    }
-    metrics.incr("campaign.population", n as u64);
-    metrics.incr("campaign.shards", shard_count(n) as u64);
-    campaign.export_metrics(&acc, &mut metrics);
-    (acc, metrics)
-}
-
 /// A campaign over a grid whose element at `index` is a **pure function of
 /// the index** — typically a full attack simulation seeded via
 /// [`derive_seed`] — rather than a cheap draw from a shard stream.
@@ -323,33 +272,19 @@ pub trait GridCampaign: Sync {
     /// The partial result folded per block.
     type Tally: Tally<Profile = Self::Profile>;
 
-    /// Evaluates the element at `index`. Must be pure in `index`.
-    fn eval(&self, index: usize) -> Self::Profile;
-
-    /// Folds a contiguous block of indices into `tally`. The default calls
-    /// [`eval`](Self::eval) per index; campaigns whose consecutive indices
-    /// share expensive per-cell state (a prepared environment template, a
-    /// pre-built vector) override it. Overrides must tally exactly the
-    /// profiles `eval` would produce for the same indices — the grid's
-    /// worker-count determinism tests lock this.
-    fn eval_block(&self, indices: std::ops::Range<usize>, tally: &mut Self::Tally) {
-        for index in indices {
-            tally.observe(&self.eval(index));
-        }
-    }
-
-    /// Like [`eval_block`](Self::eval_block), but with a per-block metrics
-    /// snapshot the campaign may record into (simulator counters, resolver
-    /// stats, attack aggregates). The default ignores the snapshot and
-    /// delegates, so non-instrumented grids pay nothing.
-    fn eval_block_recorded(
+    /// Evaluates a contiguous block of indices into `tally`, recording any
+    /// per-run telemetry (simulator counters, resolver stats) into the
+    /// block's `metrics` snapshot. Every element must be a pure function of
+    /// its index, so consecutive indices may share expensive per-cell state
+    /// (a prepared environment template, a pre-built vector) — the grid's
+    /// worker-count determinism tests lock that the tally never depends on
+    /// where the block boundaries fall.
+    fn eval_block(
         &self,
         indices: std::ops::Range<usize>,
         tally: &mut Self::Tally,
-        _metrics: &mut telemetry::MetricsSnapshot,
-    ) {
-        self.eval_block(indices, tally);
-    }
+        metrics: &mut telemetry::MetricsSnapshot,
+    );
 
     /// Exports grid-level metrics derived from the **final merged** tally.
     /// Called exactly once per run, after all blocks merged. The default
@@ -365,36 +300,17 @@ pub trait GridCampaign: Sync {
     }
 }
 
-/// Runs a grid campaign over `n` indices across `workers` threads.
-pub fn run_grid<C: GridCampaign>(campaign: &C, n: usize, workers: usize) -> C::Tally {
-    let block = campaign.block_size().max(1);
-    let parts = run_shards(n.div_ceil(block), workers, |b| {
-        let mut tally = campaign.new_tally();
-        campaign.eval_block((b * block)..((b + 1) * block).min(n), &mut tally);
-        tally
-    });
-    let mut acc = campaign.new_tally();
-    for part in parts {
-        acc.merge(part);
-    }
-    acc
-}
-
-/// Runs a grid campaign like [`run_grid`] and additionally returns a merged
-/// [`telemetry::MetricsSnapshot`]. Per-block snapshots (filled by
-/// [`GridCampaign::eval_block_recorded`]) are merged in ascending block
-/// order, then [`GridCampaign::export_metrics`] runs once over the final
-/// merged tally — so the snapshot is byte-identical at any worker count.
-pub fn run_grid_with_metrics<C: GridCampaign>(
-    campaign: &C,
-    n: usize,
-    workers: usize,
-) -> (C::Tally, telemetry::MetricsSnapshot) {
+/// Runs a grid campaign over `n` indices across `workers` threads and
+/// returns the merged tally next to the merged
+/// [`telemetry::MetricsSnapshot`]. Per-block tallies and snapshots are merged
+/// in ascending block order, then [`GridCampaign::export_metrics`] runs once
+/// over the final tally — so both are byte-identical at any worker count.
+pub fn run_grid<C: GridCampaign>(campaign: &C, n: usize, workers: usize) -> (C::Tally, telemetry::MetricsSnapshot) {
     let block = campaign.block_size().max(1);
     let parts = run_shards(n.div_ceil(block), workers, |b| {
         let mut tally = campaign.new_tally();
         let mut metrics = telemetry::MetricsSnapshot::new();
-        campaign.eval_block_recorded((b * block)..((b + 1) * block).min(n), &mut tally, &mut metrics);
+        campaign.eval_block((b * block)..((b + 1) * block).min(n), &mut tally, &mut metrics);
         (tally, metrics)
     });
     let mut acc = campaign.new_tally();

@@ -66,12 +66,6 @@ pub enum UpstreamTransport {
     TcpOnly,
 }
 
-/// The local port of the resolver's upstream TCP connections — see
-/// [`well_known_ports::RESOLVER_TCP`](crate::well_known_ports::RESOLVER_TCP)
-/// for why it is fixed. Kept as a re-declaration-free alias so existing call
-/// sites (and the CA's vantage resolvers) all read the same registry entry.
-pub const RESOLVER_TCP_PORT: u16 = crate::well_known_ports::RESOLVER_TCP;
-
 /// A delegation entry: queries for names under `zone` are sent to one of the
 /// listed nameserver addresses. `signed` marks DNSSEC-signed zones.
 #[derive(Debug, Clone)]
@@ -285,7 +279,7 @@ pub struct Resolver {
     /// One ephemeral UDP socket per outstanding UDP upstream query.
     upstream_socks: FastHashMap<u16, Box<dyn Socket>>,
     /// The upstream TCP client socket (all connections share
-    /// [`RESOLVER_TCP_PORT`]; one connection per nameserver, reused).
+    /// [`RESOLVER_TCP`](crate::well_known_ports::RESOLVER_TCP); one connection per nameserver, reused).
     tcp: Box<dyn Socket>,
     /// Per-nameserver reassembly of length-prefixed TCP answers.
     tcp_rx: HashMap<Endpoint, TcpFrameBuffer>,
@@ -315,7 +309,7 @@ impl Resolver {
         };
         let mut stack = HostStack::new(vec![config.addr], stack_cfg);
         let client_sock = UdpTransport.bind(&mut stack, crate::well_known_ports::DNS);
-        let tcp = TcpTransport::client().bind(&mut stack, RESOLVER_TCP_PORT);
+        let tcp = TcpTransport::client().bind(&mut stack, crate::well_known_ports::RESOLVER_TCP);
         let next_sequential_port = match config.port_policy {
             PortPolicy::Sequential(start) => start,
             _ => 10_000,
@@ -479,8 +473,11 @@ impl Resolver {
         };
         let txid: u16 = ctx.rng().gen();
         let tcp_only = self.config.transport_policy == UpstreamTransport::TcpOnly;
-        let (transport, port) =
-            if tcp_only { (Protocol::Tcp, RESOLVER_TCP_PORT) } else { (Protocol::Udp, self.allocate_port(ctx.rng())) };
+        let (transport, port) = if tcp_only {
+            (Protocol::Tcp, crate::well_known_ports::RESOLVER_TCP)
+        } else {
+            (Protocol::Udp, self.allocate_port(ctx.rng()))
+        };
         let wire_name =
             if self.config.use_0x20 { question.name.randomize_case(ctx.rng()) } else { question.name.clone() };
         let wire_question = Question { name: wire_name, qtype: question.qtype };
@@ -673,7 +670,7 @@ impl Resolver {
                 if let Some(e) = self.outstanding.get_mut(&token) {
                     e.transport = Protocol::Tcp;
                     e.txid = new_txid;
-                    e.port = RESOLVER_TCP_PORT;
+                    e.port = crate::well_known_ports::RESOLVER_TCP;
                     // New generation: the UDP attempt's pending timer must
                     // not abort the TCP re-query it was superseded by.
                     e.attempt = e.attempt.wrapping_add(1);

@@ -87,12 +87,7 @@ fn main() {
     );
 
     let started = Instant::now();
-    let (stats, farm_metrics) = if args.metrics {
-        let (stats, metrics) = run_farm_campaign_with_metrics(&cfg);
-        (stats, Some(metrics))
-    } else {
-        (run_farm_campaign(&cfg), None)
-    };
+    let stats = run_farm_campaign(&cfg);
     let wall = started.elapsed();
     let wall_seconds = wall.as_secs_f64();
     let packets_per_sec = stats.packets_delivered as f64 / wall_seconds.max(1e-9);
@@ -111,7 +106,13 @@ fn main() {
         stats.packets_delivered, stats.bytes_delivered, stats.cache_entries,
     );
     println!("  wall={wall:.2?}  throughput={packets_per_sec:.0} packets/sec");
-    if let Some(metrics) = &farm_metrics {
+    if args.metrics {
+        // Every farm counter adds and the end time max-merges, exactly as
+        // `FarmStats::merge` does, so one export of the merged stats is the
+        // merged per-shard snapshot.
+        let mut metrics = cross_layer_attacks::telemetry::MetricsSnapshot::new();
+        stats.export_metrics(&mut metrics);
+        metrics.incr("campaign.farm.shards", u64::from(cfg.shards.max(1)));
         println!("  telemetry snapshot (merged over {} shards):", cfg.shards);
         print!("{}", metrics.render());
     }

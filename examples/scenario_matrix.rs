@@ -10,9 +10,9 @@
 //!     [--seed N] [--runs N] [--workers N] [--metrics]
 //! ```
 //!
-//! `--metrics` additionally runs the grids through the recorded evaluation
-//! path and prints the merged telemetry snapshot (`attacks.*`, `dns.*`,
-//! `engine.*`, `campaign.*`) — byte-identical at any worker count.
+//! `--metrics` prints the merged telemetry snapshot of both grids
+//! (`attacks.*`, `dns.*`, `engine.*`, `campaign.*`) — byte-identical at any
+//! worker count.
 
 use cross_layer_attacks::attacks::prelude::*;
 use cross_layer_attacks::xlayer_core::prelude::*;
@@ -59,15 +59,7 @@ fn main() {
         available_workers()
     );
     let started = Instant::now();
-    let mut telemetry = args.metrics.then(cross_layer_attacks::telemetry::MetricsSnapshot::new);
-    let matrix = match &mut telemetry {
-        Some(snapshot) => {
-            let (matrix, m) = campaign.run_with_metrics(args.workers);
-            snapshot.merge(&m);
-            matrix
-        }
-        None => campaign.run(args.workers),
-    };
+    let (matrix, mut snapshot) = campaign.run_with_metrics(args.workers);
     println!("{}", render_scenario_matrix(&matrix));
     let baseline = matrix.cell(PoisonMethod::HijackDns, Defence::None).expect("baseline cell");
     println!(
@@ -80,16 +72,10 @@ fn main() {
     // pipeline itself, across the deployment profiles (no DS, NSEC, NSEC3
     // opt-out, strict rollover).
     let dnssec_campaign = ScenarioCampaign::dnssec_grid(args.seed, args.runs);
-    let dnssec = match &mut telemetry {
-        Some(snapshot) => {
-            let (matrix, m) = dnssec_campaign.run_with_metrics(args.workers);
-            snapshot.merge(&m);
-            matrix
-        }
-        None => dnssec_campaign.run(args.workers),
-    };
+    let (dnssec, dnssec_metrics) = dnssec_campaign.run_with_metrics(args.workers);
+    snapshot.merge(&dnssec_metrics);
     println!("{}", render_dnssec_matrix(&dnssec));
-    if let Some(snapshot) = &telemetry {
+    if args.metrics {
         println!("telemetry snapshot (merged over both grids):");
         print!("{}", snapshot.render());
     }

@@ -42,12 +42,9 @@ fn hundred_thousand_host_farm_is_replayable_and_worker_count_invariant() {
         "the shared frontend cache both hits and misses under a 256-name pool"
     );
 
-    // Same-seed replay: an identical config reproduces every counter.
-    let replay = run_farm_campaign(&farm_cfg(1));
-    assert_eq!(replay, reference, "same seed + same config must replay the exact FarmStats");
-
-    // Worker-count invariance: shard results merge in shard order, so the
-    // thread pool size can only change the wall-clock, never a counter.
+    // Each worker count is also a same-seed replay of the reference, so this
+    // one sweep locks both contracts. Shard results merge in shard order, so
+    // the thread pool size can only change the wall-clock, never a counter.
     for workers in [2usize, 8] {
         assert_eq!(
             run_farm_campaign(&farm_cfg(workers)),

@@ -13,10 +13,17 @@
 //! The artifacts are rendered through the sharded campaign engine at
 //! `workers = 3`, while the fixtures were blessed from a sequential run —
 //! so this suite doubles as an end-to-end lock on thread-count invariance.
+//!
+//! The full scenario grid is the most expensive artifact, so it is simulated
+//! once per worker count in {1, 3, 8} and shared: the matrix and telemetry
+//! goldens and every grid-level determinism check read from those runs.
 
+use cross_layer_attacks::attacks::prelude::PoisonMethod;
+use cross_layer_attacks::telemetry::MetricsSnapshot;
 use cross_layer_attacks::xlayer_core::prelude::*;
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 /// Seed and cap the fixtures were blessed with. Changing either requires
 /// re-blessing (and reviewing the diff!).
@@ -37,6 +44,19 @@ fn golden_workers() -> usize {
     } else {
         3
     }
+}
+
+/// The worker counts the shared full-grid runs are simulated at.
+const GRID_WORKERS: [usize; 3] = [1, 3, 8];
+
+/// `ScenarioCampaign::full_grid(GOLDEN_SEED, 2).run_with_metrics(workers)`,
+/// simulated at most once per worker count in [`GRID_WORKERS`] and shared by
+/// every test in this binary.
+fn full_grid_run(workers: usize) -> &'static (ScenarioMatrix, MetricsSnapshot) {
+    static RUNS: [OnceLock<(ScenarioMatrix, MetricsSnapshot)>; GRID_WORKERS.len()] =
+        [const { OnceLock::new() }; GRID_WORKERS.len()];
+    let slot = GRID_WORKERS.iter().position(|&w| w == workers).expect("a shared grid worker count");
+    RUNS[slot].get_or_init(|| ScenarioCampaign::full_grid(GOLDEN_SEED, 2).run_with_metrics(workers))
 }
 
 fn golden_cfg() -> CampaignConfig {
@@ -150,8 +170,8 @@ fn golden_scenario_matrix() {
     // same cross-lock on thread-count invariance as the campaign tables.
     // Cell seeds derive from cell *coordinates*, so the CA rows appended
     // here left every pre-existing cell of the fixture byte-identical.
-    let matrix = ScenarioCampaign::full_grid(GOLDEN_SEED, 2).run(golden_workers());
-    let mut out = render_scenario_matrix(&matrix);
+    let (matrix, _) = full_grid_run(golden_workers());
+    let mut out = render_scenario_matrix(matrix);
     out.push('\n');
     let issuance = cross_layer_attacks::ca::IssuanceCampaign::standard(GOLDEN_SEED, 2).run(golden_workers());
     out.push_str(&cross_layer_attacks::ca::render_issuance_matrix(&issuance));
@@ -172,8 +192,80 @@ fn golden_telemetry_snapshot() {
     // counters plus the per-methodology attack aggregates, rendered through
     // `MetricsSnapshot::render`. Blessing at workers=1 and checking at
     // workers=3 locks the snapshot's thread-count invariance byte-for-byte.
-    let (_, snapshot) = ScenarioCampaign::full_grid(GOLDEN_SEED, 2).run_with_metrics(golden_workers());
+    let (_, snapshot) = full_grid_run(golden_workers());
     check("telemetry", &snapshot.render());
+}
+
+#[test]
+fn scenario_matrix_is_thread_count_invariant() {
+    // Every vector against every defence (including the ones that block
+    // each vector), 2 seeds per cell: the matrix, per-cell aggregates
+    // included, and its rendering are byte-equal at every shared worker
+    // count.
+    let (reference, _) = full_grid_run(1);
+    for workers in &GRID_WORKERS[1..] {
+        let (matrix, _) = full_grid_run(*workers);
+        assert_eq!(matrix, reference, "workers={workers} changed the scenario matrix");
+        assert_eq!(
+            render_scenario_matrix(matrix),
+            render_scenario_matrix(reference),
+            "the rendered artifact is byte-identical too"
+        );
+    }
+}
+
+#[test]
+fn scenario_matrix_snapshot_is_worker_invariant() {
+    // The telemetry layer inherits the campaign engine's determinism
+    // contract: the merged snapshot of the full grid is byte-identical at
+    // every shared worker count.
+    let (_, reference) = full_grid_run(1);
+    assert!(reference.counter("dns.resolver.client_queries") > 0, "resolver telemetry folded in");
+    assert!(reference.counter("engine.events.popped") > 0, "engine telemetry folded in");
+    assert!(reference.counter("attacks.saddns.runs") > 0, "attack aggregates exported");
+    for workers in &GRID_WORKERS[1..] {
+        let (_, snapshot) = full_grid_run(*workers);
+        assert_eq!(snapshot, reference, "workers={workers} changed the snapshot");
+        assert_eq!(snapshot.render(), reference.render(), "workers={workers} changed the rendered bytes");
+        assert_eq!(snapshot.to_json(), reference.to_json(), "workers={workers} changed the JSON bytes");
+    }
+}
+
+#[test]
+fn tcp_scenario_grid_is_thread_count_invariant() {
+    // The acceptance lock for the DnsOverTcp row (its worker invariance is
+    // the whole-grid check above): TCP blocks the two off-path vectors on
+    // every seed, but not interception.
+    let (matrix, _) = full_grid_run(1);
+    let tcp_hijack = matrix.cell(PoisonMethod::HijackDns, Defence::DnsOverTcp).unwrap();
+    assert_eq!((tcp_hijack.runs, tcp_hijack.successes), (2, 2));
+    let tcp_saddns = matrix.cell(PoisonMethod::SadDns, Defence::DnsOverTcp).unwrap();
+    assert_eq!((tcp_saddns.runs, tcp_saddns.successes), (2, 0));
+    let tcp_fragdns = matrix.cell(PoisonMethod::FragDns, Defence::DnsOverTcp).unwrap();
+    assert_eq!((tcp_fragdns.runs, tcp_fragdns.successes), (2, 0));
+}
+
+#[test]
+fn appending_a_defence_does_not_reseed_existing_cells() {
+    // The per-cell seed derivation is a function of the cell coordinates,
+    // not the grid shape: the same (method, defence) cell produces the same
+    // aggregate whether or not more defences ride along in the grid.
+    let small = ScenarioCampaign {
+        base_seed: GOLDEN_SEED,
+        methods: PoisonMethod::all().to_vec(),
+        defences: vec![Defence::None],
+        runs_per_cell: 2,
+        salt: SCENARIO_GRID_SALT,
+    };
+    let small_matrix = small.run(2);
+    let (grown_matrix, _) = full_grid_run(1);
+    for method in PoisonMethod::all() {
+        assert_eq!(
+            small_matrix.cell(method, Defence::None),
+            grown_matrix.cell(method, Defence::None),
+            "growing the grid must not change the {method} baseline cell"
+        );
+    }
 }
 
 #[test]
