@@ -192,14 +192,9 @@ pub fn saddns_under_load_with_warmup(seed: u64, clients: u32, warmup: Duration) 
         .map(|n| n.parse().expect("valid name"))
         .collect();
     let first = sim.add_stub_block("bg", "100.64.0.0".parse().expect("addr"), clients);
-    let handler = FarmClientHandler {
-        targets: vec![addrs::RESOLVER],
-        names,
-        mean_think: Duration::from_millis(800),
-        // Keep load flowing through the whole attack window.
-        end: SimTime::ZERO + Duration::from_secs(600),
-    };
-    sim.set_stub_handler(handler);
+    // Keep load flowing through the whole attack window.
+    let end = SimTime::ZERO + Duration::from_secs(600);
+    sim.set_stub_handler(FarmClientHandler::new(vec![addrs::RESOLVER], &names, Duration::from_millis(800), end));
 
     // Warm-up: let the background population prime the cache before the
     // attack begins. Without it, clients whose names miss *while the

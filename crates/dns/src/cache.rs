@@ -9,12 +9,33 @@
 //! popular resolver implementations answer later `A` queries straight from a
 //! cached `ANY` response, which lets an attacker poison with an inflated
 //! (fragmentable) `ANY` response and still hit ordinary `A` lookups.
+//!
+//! # Wire-form entries
+//!
+//! Every [`CacheEntry`] holds its records twice: as [`ResourceRecord`]s for
+//! inspection and as the answer section of a reply, encoded once at insert
+//! by [`encode_answer_section`]. The wire form is valid for every later
+//! question that hits the entry because:
+//!
+//! * records are grouped by `(owner, type)`, so every owner equals the
+//!   question name and compresses to a pointer to it (`C0 0C`) whatever the
+//!   question's 0x20 casing;
+//! * RDATA is encoded without compression, so nothing else in the section
+//!   depends on its position;
+//! * cached TTLs are served as inserted, never decremented, so no byte needs
+//!   patching.
+//!
+//! A cache-hit reply is therefore a header, the client's question and a copy
+//! of [`CacheEntry::answer_wire`]. Entries are keyed by the lowercase
+//! uncompressed wire name plus the type, and lookups build that key on the
+//! stack: [`Cache::lookup`] allocates nothing.
 
-use crate::name::DomainName;
+use crate::message::encode_answer_section;
+use crate::name::{DomainName, MAX_NAME_LEN};
 use crate::rdata::{RData, RecordType, ResourceRecord};
+use netsim::fasthash::FastHashMap;
 use netsim::time::{Duration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// How a resolver caches and reuses the contents of `ANY` responses
@@ -38,6 +59,9 @@ pub enum AnyCachingPolicy {
 pub struct CacheEntry {
     /// The cached records.
     pub records: Vec<ResourceRecord>,
+    /// `records` as the answer section of a reply to a question for their
+    /// owner name (see the [module docs](self)).
+    pub answer_wire: Box<[u8]>,
     /// Absolute expiry time.
     pub expires: SimTime,
     /// When the entry was inserted.
@@ -46,10 +70,31 @@ pub struct CacheEntry {
     pub from_any: bool,
 }
 
+/// Longest cache key: a maximal wire name plus the two type bytes.
+const MAX_KEY_LEN: usize = MAX_NAME_LEN + 2;
+
+/// Calls `f` with the cache key of `(name, rtype)`: the lowercase
+/// uncompressed wire name, then the type in network order, built in a stack
+/// buffer (a name's wire form never exceeds [`MAX_NAME_LEN`]).
+fn with_key<R>(name: &DomainName, rtype: RecordType, f: impl FnOnce(&[u8]) -> R) -> R {
+    let mut key = [0u8; MAX_KEY_LEN];
+    let mut len = 0;
+    for label in name.labels() {
+        key[len] = label.len() as u8;
+        let lower = &mut key[len + 1..len + 1 + label.len()];
+        lower.copy_from_slice(label.as_bytes());
+        lower.make_ascii_lowercase();
+        len += 1 + label.len();
+    }
+    key[len] = 0;
+    key[len + 1..len + 3].copy_from_slice(&rtype.number().to_be_bytes());
+    f(&key[..len + 3])
+}
+
 /// A positive-only resolver cache keyed by `(name, type)`.
 #[derive(Debug, Clone, Default)]
 pub struct Cache {
-    entries: HashMap<(DomainName, u16), CacheEntry>,
+    entries: FastHashMap<Box<[u8]>, CacheEntry>,
     /// Total number of insertions (metrics).
     pub insertions: u64,
     /// Total number of cache hits (metrics).
@@ -67,20 +112,17 @@ impl Cache {
         Cache::default()
     }
 
-    fn key(name: &DomainName, rtype: RecordType) -> (DomainName, u16) {
-        (name.to_lowercase(), rtype.number())
-    }
-
     /// Inserts records grouped by `(owner name, type)` with their TTLs.
     ///
     /// `from_any` marks entries that came from an `ANY` response so the
     /// ANY-caching policy can decide whether later specific queries may use
     /// them.
     pub fn insert_records(&mut self, records: &[ResourceRecord], now: SimTime, from_any: bool) {
-        let mut grouped: HashMap<(DomainName, u16), Vec<ResourceRecord>> = HashMap::new();
+        let mut grouped: FastHashMap<Box<[u8]>, Vec<ResourceRecord>> = FastHashMap::default();
         for rr in records {
             // RRSIGs ride along with the set they cover.
-            grouped.entry(Self::key(&rr.name, rr.rdata.covered_type())).or_default().push(rr.clone());
+            let key: Box<[u8]> = with_key(&rr.name, rr.rdata.covered_type(), |key| key.into());
+            grouped.entry(key).or_default().push(rr.clone());
         }
         for (key, set) in grouped {
             let min_ttl = set.iter().map(|r| r.ttl).min().unwrap_or(0);
@@ -95,7 +137,8 @@ impl Cache {
                     }
                 }
             }
-            let entry = CacheEntry { records: set, expires, inserted: now, from_any };
+            let answer_wire = encode_answer_section(&set[0].name, &set).into_boxed_slice();
+            let entry = CacheEntry { records: set, answer_wire, expires, inserted: now, from_any };
             self.entries.insert(key, entry);
             self.insertions += 1;
         }
@@ -109,12 +152,11 @@ impl Cache {
         rtype: RecordType,
         now: SimTime,
         allow_any_derived: bool,
-    ) -> Option<Vec<ResourceRecord>> {
-        let key = Self::key(name, rtype);
-        match self.entries.get(&key) {
+    ) -> Option<&CacheEntry> {
+        match with_key(name, rtype, |key| self.entries.get(key)) {
             Some(entry) if entry.expires > now && (allow_any_derived || !entry.from_any) => {
                 self.hits += 1;
-                Some(entry.records.clone())
+                Some(entry)
             }
             Some(entry) if entry.expires <= now => {
                 self.expired += 1;
@@ -129,13 +171,13 @@ impl Cache {
     }
 
     /// Looks up a record set, allowing ANY-derived entries (the common case).
-    pub fn lookup(&mut self, name: &DomainName, rtype: RecordType, now: SimTime) -> Option<Vec<ResourceRecord>> {
+    pub fn lookup(&mut self, name: &DomainName, rtype: RecordType, now: SimTime) -> Option<&CacheEntry> {
         self.lookup_with_policy(name, rtype, now, true)
     }
 
     /// Non-mutating peek that ignores hit/miss accounting.
     pub fn peek(&self, name: &DomainName, rtype: RecordType, now: SimTime) -> Option<&CacheEntry> {
-        self.entries.get(&Self::key(name, rtype)).filter(|e| e.expires > now)
+        with_key(name, rtype, |key| self.entries.get(key)).filter(|e| e.expires > now)
     }
 
     /// Convenience used everywhere in the attack evaluations: the first `A`
@@ -177,8 +219,8 @@ impl Cache {
 
     /// Iterates over all entries (measurement tooling: "which applications'
     /// well-known domains are present in this cache?", Section 4.3.2).
-    pub fn iter(&self) -> impl Iterator<Item = (&(DomainName, u16), &CacheEntry)> {
-        self.entries.iter()
+    pub fn iter(&self) -> impl Iterator<Item = &CacheEntry> {
+        self.entries.values()
     }
 }
 
@@ -247,7 +289,7 @@ mod tests {
         let mut c = Cache::new();
         c.insert_records(&[a("vict.im", 300, "30.0.0.25")], SimTime::ZERO, false);
         let got = c.lookup(&n("vict.im"), RecordType::A, SimTime::ZERO).unwrap();
-        assert_eq!(got.len(), 1);
+        assert_eq!(got.records.len(), 1);
         assert_eq!(c.hits, 1);
         assert_eq!(c.cached_a(&n("vict.im"), SimTime::ZERO), Some("30.0.0.25".parse().unwrap()));
     }
@@ -257,6 +299,22 @@ mod tests {
         let mut c = Cache::new();
         c.insert_records(&[a("VICT.IM", 300, "30.0.0.25")], SimTime::ZERO, false);
         assert!(c.lookup(&n("vict.im"), RecordType::A, SimTime::ZERO).is_some());
+    }
+
+    #[test]
+    fn entries_hold_their_answer_section_in_wire_form() {
+        let mut c = Cache::new();
+        c.insert_records(&[a("Vict.IM", 300, "30.0.0.25"), a("vict.im", 60, "30.0.0.26")], SimTime::ZERO, false);
+        let entry = c.lookup(&n("VICT.im"), RecordType::A, SimTime::ZERO).unwrap();
+        let rr = |ttl: u32, last: u8| {
+            // Owner pointer to the question, type A, class IN, TTL, RDLENGTH 4.
+            let mut w = vec![0xC0, 0x0C, 0, 1, 0, 1];
+            w.extend_from_slice(&ttl.to_be_bytes());
+            w.extend_from_slice(&[0, 4, 30, 0, 0, last]);
+            w
+        };
+        let expected = [rr(300, 25), rr(60, 26)].concat();
+        assert_eq!(&*entry.answer_wire, &expected[..]);
     }
 
     #[test]
@@ -341,7 +399,7 @@ mod tests {
         let mut c = Cache::new();
         c.insert_records(&[a("vict.im", 300, "30.0.0.25"), rrsig(RecordType::A, 900)], SimTime::ZERO, false);
         let set = c.lookup(&n("vict.im"), RecordType::A, SimTime::ZERO).unwrap();
-        assert_eq!(set.len(), 2, "A record and its RRSIG cached together");
+        assert_eq!(set.records.len(), 2, "A record and its RRSIG cached together");
     }
 
     #[test]

@@ -154,8 +154,10 @@ pub struct FarmClientHandler {
     /// Anycast frontends; client `i` sticks to frontend `i % len` (the
     /// stable-routing approximation of anycast catchments).
     pub targets: Vec<Ipv4Addr>,
-    /// The query-name pool, built once and shared by all clients.
-    pub names: Vec<DomainName>,
+    /// One encoded `A` query per pool name, with TXID zero: built once and
+    /// shared by all clients, a send copies it into a pooled buffer and
+    /// patches in its TXID.
+    queries: Vec<Box<[u8]>>,
     /// Mean think time between queries.
     pub mean_think: Duration,
     /// No queries are scheduled at or after this time.
@@ -163,10 +165,13 @@ pub struct FarmClientHandler {
 }
 
 impl FarmClientHandler {
-    /// Builds the handler for a pool of `names` synthetic zone names.
-    pub fn new(targets: Vec<Ipv4Addr>, names: u32, mean_think: Duration, end: SimTime) -> Self {
-        let names = (0..names).map(|i| format!("q{i}.load.test").parse().expect("synthetic name is valid")).collect();
-        FarmClientHandler { targets, names, mean_think, end }
+    /// Builds the handler for a query-name pool.
+    pub fn new(targets: Vec<Ipv4Addr>, names: &[DomainName], mean_think: Duration, end: SimTime) -> Self {
+        let queries = names
+            .iter()
+            .map(|name| Message::query(0, name.clone(), RecordType::A).encode().into_boxed_slice())
+            .collect();
+        FarmClientHandler { targets, queries, mean_think, end }
     }
 
     fn schedule_next(&self, ctx: &mut StubCtx<'_>) {
@@ -186,13 +191,14 @@ impl StubHandler for FarmClientHandler {
         if timer.kind != TIMER_NEXT_QUERY {
             return;
         }
-        let name = self.names[ctx.rng().gen_range(0..self.names.len())].clone();
+        let query = &self.queries[ctx.rng().gen_range(0..self.queries.len())];
         let txid: u16 = ctx.rng().gen();
         let target = self.targets[ctx.id().0 as usize % self.targets.len()];
-        let query = Message::query(txid, name, RecordType::A);
-        let pkt =
-            UdpDatagram::new(ctx.addr(), target, well_known_ports::STUB_CLIENT, well_known_ports::DNS, query.encode())
-                .into_packet(txid, 64);
+        let mut payload = netsim::pool::take(query.len());
+        payload.extend_from_slice(query);
+        payload[..2].copy_from_slice(&txid.to_be_bytes());
+        let pkt = UdpDatagram::new(ctx.addr(), target, well_known_ports::STUB_CLIENT, well_known_ports::DNS, payload)
+            .into_packet(txid, 64);
         ctx.send(pkt);
         self.schedule_next(ctx);
     }
@@ -256,7 +262,9 @@ pub fn build_farm(config: FarmConfig) -> (Simulator, Farm) {
 
     let first_client = sim.add_stub_block("client", FARM_CLIENT_BASE, config.clients);
     let end = SimTime::ZERO + config.duration;
-    sim.set_stub_handler(FarmClientHandler::new(resolver_addrs.clone(), config.names, config.mean_think, end));
+    let names: Vec<DomainName> =
+        (0..config.names).map(|i| format!("q{i}.load.test").parse().expect("synthetic name is valid")).collect();
+    sim.set_stub_handler(FarmClientHandler::new(resolver_addrs.clone(), &names, config.mean_think, end));
 
     let farm = Farm { resolvers, resolver_addrs, nameserver, first_client, cache, config };
     (sim, farm)

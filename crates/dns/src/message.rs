@@ -89,6 +89,96 @@ impl Header {
             rcode: Rcode::NoError,
         }
     }
+
+    /// Appends the 12-byte wire header: ID, flags, then the question,
+    /// answer, authority and additional counts.
+    fn encode(&self, buf: &mut Vec<u8>, counts: [u16; 4]) {
+        buf.extend_from_slice(&self.id.to_be_bytes());
+        let mut flags: u16 = 0;
+        if self.is_response {
+            flags |= 0x8000;
+        }
+        if self.authoritative {
+            flags |= 0x0400;
+        }
+        if self.truncated {
+            flags |= 0x0200;
+        }
+        if self.recursion_desired {
+            flags |= 0x0100;
+        }
+        if self.recursion_available {
+            flags |= 0x0080;
+        }
+        if self.authenticated_data {
+            flags |= 0x0020;
+        }
+        flags |= u16::from(self.rcode.to_u4());
+        buf.extend_from_slice(&flags.to_be_bytes());
+        for count in counts {
+            buf.extend_from_slice(&count.to_be_bytes());
+        }
+    }
+}
+
+/// Length of the fixed DNS header.
+const HEADER_LEN: usize = 12;
+
+/// Encodes `records` as the answer section of a response whose only
+/// question is `qname`: byte for byte what [`Message::encode`] emits after
+/// the 12-byte header and that question, with the same compression map.
+///
+/// Owner names equal to `qname` (in any case) compress to a pointer to the
+/// question (`C0 0C`) and RDATA is never compressed, so the section of one
+/// cached `(name, type)` RRset serves every later question for that name
+/// whatever its 0x20 casing (see [`crate::cache`]).
+pub fn encode_answer_section(qname: &DomainName, records: &[ResourceRecord]) -> Vec<u8> {
+    let mut section = Vec::with_capacity(64 * records.len());
+    if !qname.is_root() && records.iter().all(|rr| rr.name == *qname) {
+        // One owner, the question name, which the map holds at offset 12:
+        // every owner is the same pointer and the map is never consulted
+        // (the shape of every cached RRset).
+        for rr in records {
+            section.extend_from_slice(&(0xC000 | HEADER_LEN as u16).to_be_bytes());
+            rr.encode_after_owner(&mut section);
+        }
+        return section;
+    }
+    let mut compression = HashMap::new();
+    // Seed the map as the question does at offset 12, then drop its bytes:
+    // the section starts after the question's type and class.
+    qname.encode_at(&mut section, Some(&mut compression), HEADER_LEN);
+    let base = HEADER_LEN + section.len() + 4;
+    section.clear();
+    for rr in records {
+        rr.name.encode_at(&mut section, Some(&mut compression), base);
+        rr.encode_after_owner(&mut section);
+    }
+    section
+}
+
+/// Writes a recursive resolver's reply to `question` into `buf`: the
+/// header (ID `id`, QR, RD and RA set, `rcode`, TC when `truncated`), the
+/// question as the client sent it (0x20 casing kept), then `answers`
+/// pre-encoded answer records of `answer_section` (see
+/// [`encode_answer_section`]). Byte for byte the [`Message::encode`] of
+/// the same response.
+pub fn encode_reply(
+    buf: &mut Vec<u8>,
+    id: u16,
+    rcode: Rcode,
+    truncated: bool,
+    question: &Question,
+    answers: u16,
+    answer_section: &[u8],
+) {
+    let header = Header { is_response: true, truncated, recursion_available: true, rcode, ..Header::query(id) };
+    header.encode(buf, [1, answers, 0, 0]);
+    // The first name of a message never compresses.
+    question.name.encode(buf, None);
+    buf.extend_from_slice(&question.qtype.number().to_be_bytes());
+    buf.extend_from_slice(&1u16.to_be_bytes()); // class IN
+    buf.extend_from_slice(answer_section);
 }
 
 /// Prefixes a DNS message's wire bytes with the two-byte big-endian length
@@ -188,8 +278,8 @@ impl TcpFrameBuffer {
     /// `bytes` to the buffer of `key` (one buffer per peer connection) and
     /// drains every complete frame that becomes available. Rejected
     /// buffers are dropped from the map — the connection is dead to DNS.
-    pub fn push_and_drain<K: std::cmp::Eq + std::hash::Hash + Clone>(
-        buffers: &mut std::collections::HashMap<K, TcpFrameBuffer>,
+    pub fn push_and_drain<K: std::cmp::Eq + std::hash::Hash + Clone, S: std::hash::BuildHasher>(
+        buffers: &mut HashMap<K, TcpFrameBuffer, S>,
         key: K,
         bytes: &[u8],
     ) -> Vec<Vec<u8>> {
@@ -289,32 +379,11 @@ impl Message {
         // `UdpDatagram`, whose `into_packet` recycles it.
         let mut buf = netsim::pool::take(512);
         let mut compression: HashMap<String, u16> = HashMap::new();
-        buf.extend_from_slice(&self.header.id.to_be_bytes());
-        let mut flags: u16 = 0;
-        if self.header.is_response {
-            flags |= 0x8000;
-        }
-        if self.header.authoritative {
-            flags |= 0x0400;
-        }
-        if self.header.truncated {
-            flags |= 0x0200;
-        }
-        if self.header.recursion_desired {
-            flags |= 0x0100;
-        }
-        if self.header.recursion_available {
-            flags |= 0x0080;
-        }
-        if self.header.authenticated_data {
-            flags |= 0x0020;
-        }
-        flags |= u16::from(self.header.rcode.to_u4());
-        buf.extend_from_slice(&flags.to_be_bytes());
-        buf.extend_from_slice(&(self.questions.len() as u16).to_be_bytes());
-        buf.extend_from_slice(&(self.answers.len() as u16).to_be_bytes());
-        buf.extend_from_slice(&(self.authorities.len() as u16).to_be_bytes());
-        buf.extend_from_slice(&(self.additionals.len() as u16).to_be_bytes());
+        self.header.encode(
+            &mut buf,
+            [self.questions.len(), self.answers.len(), self.authorities.len(), self.additionals.len()]
+                .map(|n| n as u16),
+        );
         for q in &self.questions {
             q.name.encode(&mut buf, Some(&mut compression));
             buf.extend_from_slice(&q.qtype.number().to_be_bytes());

@@ -167,6 +167,18 @@ impl DomainName {
     /// are replaced by compression pointers and new suffix offsets are
     /// recorded (offsets must fit in 14 bits).
     pub fn encode(&self, buf: &mut Vec<u8>, compression: Option<&mut std::collections::HashMap<String, u16>>) {
+        self.encode_at(buf, compression, 0);
+    }
+
+    /// [`encode`](DomainName::encode) into a buffer that starts `base` bytes
+    /// into the message: recorded suffix offsets are `base + buf.len()`, so
+    /// a message section can be built on its own and spliced in later.
+    pub(crate) fn encode_at(
+        &self,
+        buf: &mut Vec<u8>,
+        compression: Option<&mut std::collections::HashMap<String, u16>>,
+        base: usize,
+    ) {
         let Some(map) = compression else {
             // No compression map: the name is straight label copies.
             for label in &self.labels {
@@ -180,7 +192,8 @@ impl DomainName {
         // a slice of `full` (label lengths are byte lengths, separators one
         // byte), so lookups allocate nothing and only suffixes newly
         // recorded in the map are copied out.
-        let full = self.labels.join(".").to_ascii_lowercase();
+        let mut full = self.labels.join(".");
+        full.make_ascii_lowercase();
         let mut off = 0;
         for label in &self.labels {
             let suffix = &full[off..];
@@ -188,7 +201,7 @@ impl DomainName {
                 buf.extend_from_slice(&(0xC000u16 | offset).to_be_bytes());
                 return;
             }
-            let here = buf.len();
+            let here = base + buf.len();
             if here <= 0x3FFF {
                 map.insert(suffix.to_owned(), here as u16);
             }
@@ -264,9 +277,17 @@ impl PartialEq for DomainName {
 }
 
 impl std::hash::Hash for DomainName {
+    /// Hashes each label exactly as its lowercased `String` would hash (the
+    /// bytes, then a `0xff` terminator), lowercasing through a stack buffer
+    /// so hashing allocates nothing.
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        for l in &self.labels {
-            l.to_ascii_lowercase().hash(state);
+        let mut lower = [0u8; MAX_LABEL_LEN];
+        for label in &self.labels {
+            let lower = &mut lower[..label.len()];
+            lower.copy_from_slice(label.as_bytes());
+            lower.make_ascii_lowercase();
+            state.write(lower);
+            state.write_u8(0xff);
         }
     }
 }
@@ -278,10 +299,20 @@ impl PartialOrd for DomainName {
 }
 
 impl Ord for DomainName {
+    /// Label by label, most specific first, each label compared bytewise
+    /// after ASCII lowercasing: the order of the lowercased `Vec<String>`
+    /// of labels, computed without allocating.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let a: Vec<String> = self.labels.iter().map(|l| l.to_ascii_lowercase()).collect();
-        let b: Vec<String> = other.labels.iter().map(|l| l.to_ascii_lowercase()).collect();
-        a.cmp(&b)
+        fn lower(label: &str) -> impl Iterator<Item = u8> + '_ {
+            label.bytes().map(|b| b.to_ascii_lowercase())
+        }
+        for (a, b) in self.labels.iter().zip(&other.labels) {
+            match lower(a).cmp(lower(b)) {
+                std::cmp::Ordering::Equal => {}
+                unequal => return unequal,
+            }
+        }
+        self.labels.len().cmp(&other.labels.len())
     }
 }
 

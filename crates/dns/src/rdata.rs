@@ -691,6 +691,12 @@ impl ResourceRecord {
     /// Encodes the record (name, type, class, TTL, RDLENGTH, RDATA).
     pub fn encode(&self, buf: &mut Vec<u8>, compression: Option<&mut HashMap<String, u16>>) {
         self.name.encode(buf, compression);
+        self.encode_after_owner(buf);
+    }
+
+    /// Encodes everything after the owner name: type, class, TTL, RDLENGTH
+    /// and RDATA.
+    pub(crate) fn encode_after_owner(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&self.rtype().number().to_be_bytes());
         // OPT abuses the class field for the UDP payload size (RFC 6891).
         let class: u16 = match &self.rdata {
@@ -699,14 +705,17 @@ impl ResourceRecord {
         };
         buf.extend_from_slice(&class.to_be_bytes());
         buf.extend_from_slice(&self.ttl.to_be_bytes());
-        let mut rdata = Vec::new();
+        // RDATA is written in place behind a placeholder RDLENGTH that is
+        // patched once its size is known.
+        let len_at = buf.len();
+        buf.extend_from_slice(&[0, 0]);
         match &self.rdata {
             // OPT RDATA is empty on the wire in our model.
             RData::Opt { .. } => {}
-            other => other.encode(&mut rdata),
+            other => other.encode(buf),
         }
-        buf.extend_from_slice(&(rdata.len() as u16).to_be_bytes());
-        buf.extend_from_slice(&rdata);
+        let rdlen = (buf.len() - len_at - 2) as u16;
+        buf[len_at..len_at + 2].copy_from_slice(&rdlen.to_be_bytes());
     }
 
     /// Decodes a record starting at `offset`; returns it and the next offset.

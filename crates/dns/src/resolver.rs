@@ -27,14 +27,13 @@
 //! the cache.
 
 use crate::cache::{AnyCachingPolicy, Cache, SharedCache};
-use crate::message::{frame_tcp, Message, Question, Rcode, TcpFrameBuffer};
+use crate::message::{encode_answer_section, encode_reply, frame_tcp, Message, Question, Rcode, TcpFrameBuffer};
 use crate::name::DomainName;
 use crate::rdata::{RData, RecordType, ResourceRecord};
 use netsim::fasthash::FastHashMap;
 use netsim::ipv4::Protocol;
 use netsim::prelude::*;
 use rand::Rng;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// How the resolver chooses UDP source ports for upstream queries.
@@ -282,7 +281,7 @@ pub struct Resolver {
     /// [`RESOLVER_TCP`](crate::well_known_ports::RESOLVER_TCP); one connection per nameserver, reused).
     tcp: Box<dyn Socket>,
     /// Per-nameserver reassembly of length-prefixed TCP answers.
-    tcp_rx: HashMap<Endpoint, TcpFrameBuffer>,
+    tcp_rx: FastHashMap<Endpoint, TcpFrameBuffer>,
     outstanding: FastHashMap<u64, Outstanding>,
     port_to_token: FastHashMap<u16, u64>,
     next_token: u64,
@@ -321,7 +320,7 @@ impl Resolver {
             client_sock,
             upstream_socks: FastHashMap::default(),
             tcp,
-            tcp_rx: HashMap::new(),
+            tcp_rx: FastHashMap::default(),
             outstanding: FastHashMap::default(),
             port_to_token: FastHashMap::default(),
             next_token: 1,
@@ -452,7 +451,7 @@ impl Resolver {
         true
     }
 
-    fn start_recursion(&mut self, question: Question, client: Option<ClientRef>, ctx: &mut Ctx<'_>) {
+    fn start_recursion(&mut self, question: &Question, client: Option<ClientRef>, ctx: &mut Ctx<'_>) {
         let (nameserver, bailiwick, signed, anchor) = if let Some(upstream) = self.config.upstream {
             (upstream, DomainName::root(), false, None)
         } else {
@@ -464,7 +463,7 @@ impl Resolver {
                 _ => {
                     // No known nameserver: SERVFAIL immediately.
                     if let Some(c) = client {
-                        self.answer_client_error(&question, c, Rcode::ServFail, false, ctx);
+                        self.reply(question, c, Rcode::ServFail, false, 0, &[], ctx);
                         self.stats.servfails += 1;
                     }
                     return;
@@ -509,53 +508,26 @@ impl Resolver {
         self.send_upstream(token, ctx);
     }
 
-    fn answer_client_from_records(
-        &mut self,
-        question: &Question,
-        records: &[ResourceRecord],
-        client: ClientRef,
-        ctx: &mut Ctx<'_>,
-    ) {
-        let mut response = Message {
-            header: crate::message::Header {
-                id: client.txid,
-                is_response: true,
-                authoritative: false,
-                truncated: false,
-                recursion_desired: true,
-                recursion_available: true,
-                authenticated_data: false,
-                rcode: Rcode::NoError,
-            },
-            questions: vec![question.clone()],
-            answers: records.to_vec(),
-            authorities: Vec::new(),
-            additionals: Vec::new(),
-        };
-        if records.is_empty() {
-            response.header.rcode = Rcode::NxDomain;
-        }
-        let payload = response.encode();
-        let sock = &mut self.client_sock;
-        with_io(&mut self.stack, ctx, |io| sock.send_to(io, Endpoint::new(client.addr, client.port), &payload));
-    }
-
-    fn answer_client_error(
+    /// Replies to `client`'s `question`: `answers` records pre-encoded in
+    /// `answer_section` (see [`encode_answer_section`]). The one reply
+    /// writer for cache hits, answered lookups and errors alike; its buffer
+    /// comes from and goes back to [`netsim::pool`].
+    #[allow(clippy::too_many_arguments)]
+    fn reply(
         &mut self,
         question: &Question,
         client: ClientRef,
         rcode: Rcode,
         truncated: bool,
+        answers: u16,
+        answer_section: &[u8],
         ctx: &mut Ctx<'_>,
     ) {
-        let mut response = Message::query(client.txid, question.name.clone(), question.qtype);
-        response.header.is_response = true;
-        response.header.recursion_available = true;
-        response.header.rcode = rcode;
-        response.header.truncated = truncated;
-        let payload = response.encode();
+        let mut payload = netsim::pool::take(512);
+        encode_reply(&mut payload, client.txid, rcode, truncated, question, answers, answer_section);
         let sock = &mut self.client_sock;
         with_io(&mut self.stack, ctx, |io| sock.send_to(io, Endpoint::new(client.addr, client.port), &payload));
+        netsim::pool::give(payload);
     }
 
     fn handle_client_query(&mut self, dgram: &UdpDatagram, ctx: &mut Ctx<'_>) {
@@ -563,25 +535,31 @@ impl Resolver {
         if query.header.is_response {
             return;
         }
-        let Some(question) = query.question().cloned() else { return };
+        let Some(question) = query.question() else { return };
         self.stats.client_queries += 1;
         let client = ClientRef { addr: dgram.src, port: dgram.src_port, txid: query.header.id };
 
         // ANY handling per implementation profile.
         if question.qtype == RecordType::ANY && self.config.any_caching == AnyCachingPolicy::Unsupported {
-            self.answer_client_error(&question, client, Rcode::NotImp, false, ctx);
+            self.reply(question, client, Rcode::NotImp, false, 0, &[], ctx);
             return;
         }
 
-        // Cache lookup.
+        // Cache lookup: a hit is the cached answer section copied behind a
+        // fresh header and the client's question. Borrowing through a clone
+        // of the handle (a reference-count bump) lets the entry be written
+        // straight into the reply while `self` sends it.
         let allow_any_derived = self.config.any_caching == AnyCachingPolicy::CacheAndUse;
         let now = ctx.now();
-        let cached = self.cache.borrow_mut().lookup_with_policy(&question.name, question.qtype, now, allow_any_derived);
-        if let Some(records) = cached {
+        let cache = self.cache.clone();
+        let mut cache = cache.borrow_mut();
+        if let Some(entry) = cache.lookup_with_policy(&question.name, question.qtype, now, allow_any_derived) {
             self.stats.cache_answers += 1;
-            self.answer_client_from_records(&question, &records, client, ctx);
+            let answers = entry.records.len() as u16;
+            self.reply(question, client, Rcode::NoError, false, answers, &entry.answer_wire, ctx);
             return;
         }
+        drop(cache);
 
         // Join an identical outstanding query if one exists.
         if let Some((_, entry)) = self
@@ -802,8 +780,10 @@ impl Resolver {
     fn finish_query(&mut self, token: u64, answers: &[ResourceRecord], ctx: &mut Ctx<'_>) {
         if let Some(entry) = self.outstanding.remove(&token) {
             self.release_transport(&entry, ctx);
-            for client in entry.clients.clone() {
-                self.answer_client_from_records(&entry.question, answers, client, ctx);
+            let section = encode_answer_section(&entry.question.name, answers);
+            let rcode = if answers.is_empty() { Rcode::NxDomain } else { Rcode::NoError };
+            for &client in &entry.clients {
+                self.reply(&entry.question, client, rcode, false, answers.len() as u16, &section, ctx);
             }
         }
     }
@@ -815,8 +795,8 @@ impl Resolver {
         if let Some(entry) = self.outstanding.remove(&token) {
             self.release_transport(&entry, ctx);
             self.stats.servfails += entry.clients.len() as u64;
-            for client in entry.clients.clone() {
-                self.answer_client_error(&entry.question, client, Rcode::ServFail, true, ctx);
+            for &client in &entry.clients {
+                self.reply(&entry.question, client, Rcode::ServFail, true, 0, &[], ctx);
             }
         }
     }
@@ -875,8 +855,8 @@ impl Resolver {
             self.stats.servfails += entry.clients.len() as u64;
             self.outstanding.remove(&token);
             self.release_transport(&entry, ctx);
-            for client in entry.clients {
-                self.answer_client_error(&entry.question, client, Rcode::ServFail, false, ctx);
+            for &client in &entry.clients {
+                self.reply(&entry.question, client, Rcode::ServFail, false, 0, &[], ctx);
             }
         }
     }

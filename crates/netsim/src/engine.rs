@@ -23,7 +23,7 @@
 //! timers carry a typed [`StubTimer`] token namespaced by [`StubId`] (two
 //! clients can never alias each other's retransmit timers), and delivered
 //! packet buffers are recycled through [`crate::pool`]. The event queue
-//! itself is a hierarchical [`TimeWheel`](crate::wheel::TimeWheel) keyed by
+//! itself is a hierarchical [`TimeWheel`] keyed by
 //! `(SimTime, seq)` — identical pop order to the old binary heap, `O(1)`
 //! scheduling.
 

@@ -10,11 +10,14 @@
 //! processes, which is one less way for nondeterminism to leak into a
 //! seeded simulation.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` keyed by the deterministic [`FastHasher`].
 pub type FastHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+
+/// `HashSet` hashed by the deterministic [`FastHasher`].
+pub type FastHashSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
 
 /// Multiplier from Firefox's Fx hash: an odd constant close to
 /// 2^64 / golden ratio, so consecutive keys scatter across the table.

@@ -17,11 +17,12 @@
 //! * overlap/duplicate policy is configurable (permissive first-wins like
 //!   older kernels, or reject like hardened stacks).
 
+use crate::fasthash::FastHashMap;
 use crate::ipv4::{Ipv4Header, Ipv4Packet, IPV4_HEADER_LEN};
 use crate::time::{Duration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Splits an IPv4 packet into fragments that fit within `mtu` bytes each.
@@ -193,7 +194,7 @@ impl PendingDatagram {
 #[derive(Debug, Clone)]
 pub struct ReassemblyBuffer {
     config: ReassemblyConfig,
-    pending: HashMap<FragKey, PendingDatagram>,
+    pending: FastHashMap<FragKey, PendingDatagram>,
     /// Count of datagrams successfully reassembled.
     pub completed: u64,
     /// Count of fragments dropped.
@@ -203,7 +204,7 @@ pub struct ReassemblyBuffer {
 impl ReassemblyBuffer {
     /// Creates a buffer with the given configuration.
     pub fn new(config: ReassemblyConfig) -> Self {
-        ReassemblyBuffer { config, pending: HashMap::new(), completed: 0, dropped: 0 }
+        ReassemblyBuffer { config, pending: FastHashMap::default(), completed: 0, dropped: 0 }
     }
 
     /// Number of datagrams currently pending.

@@ -11,6 +11,7 @@
 //! [`HostStack::handle_packet`]; transport state above the port table lives
 //! in the sockets of [`crate::transport`] and [`crate::tcp`].
 
+use crate::fasthash::{FastHashMap, FastHashSet};
 use crate::frag::fragment_packet;
 use crate::frag::{ReassemblyBuffer, ReassemblyConfig, ReassemblyResult};
 use crate::icmp::{IcmpMessage, Unreachable};
@@ -22,7 +23,6 @@ use crate::time::SimTime;
 use crate::udp::UdpDatagram;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
 /// How a host assigns IPv4 identification values to outgoing packets.
@@ -164,13 +164,13 @@ pub struct HostStack {
     /// Addresses owned by this host.
     pub addresses: Vec<Ipv4Addr>,
     config: StackConfig,
-    open_ports: HashSet<u16>,
-    open_tcp_ports: HashSet<u16>,
+    open_ports: FastHashSet<u16>,
+    open_tcp_ports: FastHashSet<u16>,
     reassembly: ReassemblyBuffer,
     icmp_limiter: IcmpRateLimiter,
     pmtu: PathMtuCache,
     global_ipid: u16,
-    per_dest_ipid: std::collections::HashMap<Ipv4Addr, u16>,
+    per_dest_ipid: FastHashMap<Ipv4Addr, u16>,
 }
 
 impl HostStack {
@@ -183,10 +183,10 @@ impl HostStack {
             icmp_limiter: IcmpRateLimiter::new(config.icmp_rate_limit),
             reassembly: ReassemblyBuffer::new(config.reassembly),
             pmtu,
-            open_ports: HashSet::new(),
-            open_tcp_ports: HashSet::new(),
+            open_ports: FastHashSet::default(),
+            open_tcp_ports: FastHashSet::default(),
             global_ipid: 1,
-            per_dest_ipid: std::collections::HashMap::new(),
+            per_dest_ipid: FastHashMap::default(),
             config,
         }
     }

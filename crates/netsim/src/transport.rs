@@ -1,7 +1,7 @@
 //! The generic, object-safe transport socket API.
 //!
 //! Every simulated host used to hand-roll `UdpDatagram` construction against
-//! its [`HostStack`](crate::stack::HostStack); this module puts a uniform,
+//! its [`HostStack`]; this module puts a uniform,
 //! transport-agnostic surface in between so the DNS nodes (and any future
 //! application) can speak UDP or TCP through the same four calls:
 //!
