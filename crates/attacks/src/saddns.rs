@@ -213,21 +213,11 @@ impl SadDnsAttack {
         u64::from(space)
     }
 
-    /// Runs the attack.
+    /// Runs the attack. When the simulator has a flight recorder installed,
+    /// the mute, scan and spray phases are recorded into it as spans at
+    /// sim-time resolution beside the packets; without one, each phase
+    /// boundary costs one `Option` check.
     pub fn run(&self, sim: &mut Simulator, env: &VictimEnv) -> AttackReport {
-        self.run_recorded(sim, env, None)
-    }
-
-    /// Runs the attack, optionally recording phase spans (mute, scan, spray)
-    /// into a flight recorder at sim-time resolution. With `None` this is
-    /// exactly [`SadDnsAttack::run`] — the recording branches compile to a
-    /// cheap `Option` check per phase, not per packet.
-    pub fn run_recorded(
-        &self,
-        sim: &mut Simulator,
-        env: &VictimEnv,
-        mut rec: Option<&mut telemetry::FlightRecorder>,
-    ) -> AttackReport {
         let cfg = &self.config;
         let mut report = AttackReport::new(PoisonMethod::SadDns, &cfg.target_name, cfg.malicious_addr);
         let start = sim.now();
@@ -266,19 +256,9 @@ impl SadDnsAttack {
         for iteration in 0..cfg.max_iterations {
             report.iterations += 1;
             // 1. Mute the nameserver.
-            if let Some(r) = rec.as_deref_mut() {
-                telemetry::span!(
-                    r,
-                    sim.now().as_nanos(),
-                    "saddns.mute",
-                    "iteration {iteration}: {} spoofed queries",
-                    cfg.mute_queries
-                );
-            }
+            netsim::span!(sim, "saddns.mute", "iteration {iteration}: {} spoofed queries", cfg.mute_queries);
             self.mute_nameserver(sim, env);
-            if let Some(r) = rec.as_deref_mut() {
-                r.exit(sim.now().as_nanos(), "saddns.mute");
-            }
+            sim.exit_span("saddns.mute");
             // 2. Trigger the query.
             env.trigger_query(sim, cfg.trigger, &cfg.target_name, cfg.qtype, 0x4000 + iteration as u16);
             report.queries_triggered += 1;
@@ -291,20 +271,15 @@ impl SadDnsAttack {
             sim.run_for(cfg.batch_interval);
 
             // 3. Scan for the open ephemeral port.
-            if let Some(r) = rec.as_deref_mut() {
-                telemetry::span!(
-                    r,
-                    sim.now().as_nanos(),
-                    "saddns.scan",
-                    "iteration {iteration}: range [{}, {}]",
-                    cfg.scan_range.0,
-                    cfg.scan_range.1
-                );
-            }
+            netsim::span!(
+                sim,
+                "saddns.scan",
+                "iteration {iteration}: range [{}, {}]",
+                cfg.scan_range.0,
+                cfg.scan_range.1
+            );
             let found = self.scan_for_port(sim, env, window_end, &mut report);
-            if let Some(r) = rec.as_deref_mut() {
-                r.exit(sim.now().as_nanos(), "saddns.scan");
-            }
+            sim.exit_span("saddns.scan");
             let Some(port) = found else {
                 report.notes.push(format!("iteration {iteration}: port not found within the window"));
                 // Let the current query expire before the next iteration.
@@ -318,13 +293,9 @@ impl SadDnsAttack {
                 report.notes.push("window closed before the TXID sweep".into());
                 continue;
             }
-            if let Some(r) = rec.as_deref_mut() {
-                telemetry::span!(r, sim.now().as_nanos(), "saddns.spray", "iteration {iteration}: port {port}");
-            }
+            netsim::span!(sim, "saddns.spray", "iteration {iteration}: port {port}");
             report.spray_responses += self.spray_txids(sim, env, port);
-            if let Some(r) = rec.as_deref_mut() {
-                r.exit(sim.now().as_nanos(), "saddns.spray");
-            }
+            sim.exit_span("saddns.spray");
             sim.run_for(Duration::from_millis(100));
 
             if env.poisoned(sim, &cfg.target_name, cfg.malicious_addr) {
@@ -409,30 +380,36 @@ mod tests {
     #[test]
     fn recorded_run_counts_probes_and_spans_phases() {
         let (mut sim, env) = saddns_env(false, false, true);
-        let mut rec = telemetry::FlightRecorder::new(64);
-        let report = SadDnsAttack::new(attack_cfg()).run_recorded(&mut sim, &env, Some(&mut rec));
+        // Room for the whole run: ~68K packet events plus the phase spans.
+        sim.install_recorder(FlightRecorder::new(1 << 17));
+        let report = SadDnsAttack::new(attack_cfg()).run(&mut sim, &env);
         assert!(report.success, "SadDNS failed: {:?}", report.notes);
         assert!(report.probes_sent > 0, "scan probes are accounted");
         assert_eq!(report.probes_sent % (u64::from(ICMP_PROBE_BATCH) + 1), 0, "probes come in batch+verify sets");
         assert_eq!(report.windows_hit, 1, "one scan window contained the open port");
         assert_eq!(report.spray_responses, 1 << 16, "full TXID sweep sprayed the whole space");
-        let names: Vec<&str> = rec.events().map(|e| e.name).collect();
+        let rec = sim.recorder().expect("installed");
+        assert_eq!(rec.dropped(), 0);
+        let names: Vec<&str> = rec.spans().map(|e| e.name).collect();
         assert!(names.contains(&"saddns.mute"));
         assert!(names.contains(&"saddns.scan"));
         assert!(names.contains(&"saddns.spray"));
-        let dump = rec.dump_last(64);
+        assert!(rec.packets().count() as u64 > report.attacker_packets, "packets share the ring with the spans");
+        let dump = rec.dump_last(usize::MAX, &sim);
         assert!(dump.contains("> saddns.scan"));
         assert!(dump.contains("< saddns.spray"));
     }
 
     #[test]
-    fn run_and_run_recorded_agree() {
+    fn recording_does_not_perturb_the_attack() {
         let (mut sim_a, env_a) = saddns_env(false, false, true);
         let plain = SadDnsAttack::new(attack_cfg()).run(&mut sim_a, &env_a);
         let (mut sim_b, env_b) = saddns_env(false, false, true);
-        let mut rec = telemetry::FlightRecorder::default();
-        let recorded = SadDnsAttack::new(attack_cfg()).run_recorded(&mut sim_b, &env_b, Some(&mut rec));
-        assert_eq!(plain, recorded, "recording must not perturb the attack");
+        sim_b.install_recorder(FlightRecorder::default());
+        let recorded = SadDnsAttack::new(attack_cfg()).run(&mut sim_b, &env_b);
+        assert_eq!(plain, recorded, "recording must not perturb the attack report");
+        assert_eq!(sim_a.counters(), sim_b.counters(), "recording must not perturb the engine");
+        assert!(sim_b.recorder().is_some_and(|r| r.dropped() > 0), "the run overflowed the ring");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The exchange is the smallest thing that still exercises real transport:
 //! one request line with headers, one response with `Content-Length` and
 //! `Connection: close`, carried over the deterministic
-//! [`TcpSocket`](netsim::tcp::TcpSocket) (3-way handshake, MSS segmentation,
+//! [`TcpSocket`] (3-way handshake, MSS segmentation,
 //! FIN teardown). The same node type plays both sides of the paper's story:
 //! the **genuine** web host that serves the real account's provisioned
 //! tokens (and 404s everyone else's), and the **attacker's** host, which

@@ -8,7 +8,7 @@
 //! authorization. For HTTP-01 it resolves the domain's A record, opens a
 //! real TCP connection to port 80 of whatever address came back (handshake,
 //! segmentation and teardown through the deterministic
-//! [`TcpSocket`](netsim::tcp::TcpSocket)) and compares the response body.
+//! [`TcpSocket`]) and compares the response body.
 //! Both paths terminate in a [`ValidationResult`] the authority folds into
 //! its quorum decision.
 

@@ -135,9 +135,10 @@ pub struct LoadedSadDnsReport {
     pub background_upstream: u64,
     /// Total packets delivered in the simulation.
     pub packets_delivered: u64,
-    /// Flight-recorder dump of the last 64 span events, present only when
-    /// the attack chain failed — the post-mortem of what the attack was
-    /// doing, in sim time, when it died.
+    /// Flight-recorder dump of the last 64 events (the attack's phase spans
+    /// and the packets around them), present only when the attack chain
+    /// failed: the post-mortem of what the attack was doing, in sim time,
+    /// when it died.
     pub flight_log: Option<String>,
     /// Telemetry of the loaded run: resolver counters (`dns.*`), engine
     /// counters (`engine.*`) and — because this experiment is single-threaded
@@ -180,7 +181,6 @@ pub fn saddns_under_load_with_warmup(seed: u64, clients: u32, warmup: Duration) 
     // (unlike in sharded campaigns, where shards share worker threads).
     netsim::pool::reset_counters();
     let (mut sim, env) = cfg.build();
-    sim.trace_mut().enabled = false;
 
     // The background population: stub clients querying the victim zone's real
     // names through the same resolver the attacker is racing. The attack's
@@ -207,9 +207,9 @@ pub fn saddns_under_load_with_warmup(seed: u64, clients: u32, warmup: Duration) 
     attack_cfg.scan_range = (40000, 40255);
     attack_cfg.max_iterations = 2;
     let baseline = env.resolver(&sim).stats.clone();
-    let mut recorder = telemetry::FlightRecorder::new(256);
-    let report = SadDnsAttack::new(attack_cfg).run_recorded(&mut sim, &env, Some(&mut recorder));
-    let flight_log = if report.success { None } else { Some(recorder.dump_last(64)) };
+    sim.install_recorder(FlightRecorder::new(256));
+    let report = SadDnsAttack::new(attack_cfg).run(&mut sim, &env);
+    let flight_log = (!report.success).then(|| sim.recorder().expect("installed").dump_last(64, &sim));
 
     let mut metrics = telemetry::MetricsSnapshot::new();
     env.resolver(&sim).export_metrics(&mut metrics);

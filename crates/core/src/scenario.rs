@@ -434,7 +434,7 @@ impl Scenario {
     /// The environment configuration `run` will build: the base config after
     /// the vector's `prepare_env` and every defence's `apply`. This is the
     /// seed-independent part of a run — snapshot it in an
-    /// [`EnvTemplate`](attacks::prelude::EnvTemplate) to stamp out many
+    /// [`EnvTemplate`] to stamp out many
     /// independently-seeded runs of the same cell via [`run_in`](Self::run_in).
     ///
     /// # Panics
@@ -463,9 +463,9 @@ impl Scenario {
     /// seeding the simulator with `seed`. Byte-identical to [`run`](Self::run)
     /// when `template` snapshots this scenario's [`prepared_config`]
     /// (locked by the template-equivalence tests): only the seed-independent
-    /// derivation is skipped. The packet trace is disabled — a
-    /// [`ScenarioOutcome`] never exposes it, and grid campaigns would
-    /// otherwise pay a formatted trace entry per simulated packet.
+    /// derivation is skipped. The simulator runs without a flight recorder:
+    /// a [`ScenarioOutcome`] never exposes one, so grid campaigns pay no
+    /// recording cost per simulated packet.
     ///
     /// With `Some(metrics)`, the run's telemetry — the victim resolver's
     /// counters (`dns.*`) and the simulator's engine counters (`engine.*`) —
@@ -482,7 +482,6 @@ impl Scenario {
     ) -> ScenarioOutcome {
         let vector = self.vector.take().expect("Scenario requires an attack vector (call .vector(...))");
         let (mut sim, mut env) = template.build_at(seed);
-        sim.trace_mut().enabled = false;
         let before = self.exploit.as_mut().map(|stage| {
             let (name, qtype) = stage.lookup();
             env.trigger_query(&mut sim, self.trigger, &name, qtype, 1);
@@ -498,7 +497,6 @@ impl Scenario {
             }
             AttackPhase::FreshEnvironment { seed_bump } => {
                 (sim, env) = template.build_at(seed.wrapping_add(seed_bump));
-                sim.trace_mut().enabled = false;
             }
         }
 
@@ -577,7 +575,7 @@ pub const DNSSEC_GRID_SALT: u64 = 0xd5ec_5a17_9e0f_2b63;
 /// sharded campaign engine: `runs_per_cell` independently-seeded scenario
 /// runs per (methodology, defence) cell, folded into per-cell
 /// [`AttackAggregate`]s. Run `r` of cell `(m, d)` is seeded by
-/// [`derive_seed`]`(base_seed, SCENARIO_GRID_SALT ⊕ f(m, d), r)` — a pure
+/// [`derive_seed`](crate::campaign::derive_seed)`(base_seed, SCENARIO_GRID_SALT ⊕ f(m, d), r)` — a pure
 /// function of the cell coordinates and run number, **never of the grid
 /// shape** — so the matrix is byte-identical for every worker count *and*
 /// appending a defence row or methodology column reseeds nothing that

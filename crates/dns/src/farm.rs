@@ -236,11 +236,11 @@ pub fn load_zone(names: u32) -> Zone {
     zone
 }
 
-/// Builds one farm simulation. Tracing is disabled — at 10⁵+ hosts the trace
-/// would dominate memory and time; targeted experiments can re-enable it.
+/// Builds one farm simulation, with no flight recorder installed: at 10⁵+
+/// hosts the engine's per-packet cost is the budget. Targeted experiments
+/// can install one.
 pub fn build_farm(config: FarmConfig) -> (Simulator, Farm) {
     let mut sim = Simulator::new(config.seed);
-    sim.trace_mut().enabled = false;
 
     let nameserver = sim.add_node(
         "ns",

@@ -5,8 +5,9 @@
 //! spoofed source addresses, honours **route overrides** (the data-plane
 //! effect of a successful BGP prefix hijack: traffic for a prefix is handed
 //! to the hijacker instead of the legitimate owner), performs router-side MTU
-//! handling (ICMP fragmentation-needed or in-transit fragmentation), records
-//! a packet [`Trace`] and keeps per-node [`TrafficStats`].
+//! handling (ICMP fragmentation-needed or in-transit fragmentation) and keeps
+//! per-node [`TrafficStats`]. An installed [`FlightRecorder`] (none by
+//! default) records every packet verdict and every phase span.
 //!
 //! Determinism: all randomness is drawn from a single seeded ChaCha20 RNG and
 //! ties between simultaneous events are broken by insertion order, so a given
@@ -28,13 +29,13 @@
 //! scheduling.
 
 use crate::fasthash::FastHashMap;
+use crate::flight::{FlightRecorder, PacketEvent, TraceVerdict};
 use crate::ipv4::{Ipv4Packet, Protocol};
 use crate::link::Link;
 use crate::pool;
 use crate::prefix::Prefix;
 use crate::stats::TrafficStats;
 use crate::time::{Duration, SimTime};
-use crate::trace::{Trace, TraceVerdict};
 use crate::wheel::TimeWheel;
 use crate::{frag, icmp::IcmpMessage};
 use rand::{Rng, SeedableRng};
@@ -315,31 +316,27 @@ struct StubBlock {
     stats: TrafficStats,
 }
 
-/// Who sent a packet (for stats, egress filtering and trace labels).
-#[derive(Debug, Clone, Copy)]
-enum Origin {
+/// A host that sends or receives packets: the sender in stats, egress
+/// filtering and recorded packet events, the receiver in recorded events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Host {
+    /// A full node.
     Node(NodeId),
+    /// An arena-hosted stub client.
     Stub(StubId),
-    /// ICMP errors originated by the network itself (PTB from a link router).
+    /// The network itself: ICMP errors a link router originates (PTB).
     Router,
 }
 
-/// Who receives a packet.
-#[derive(Debug, Clone, Copy)]
-enum HostRef {
-    Node(NodeId),
-    Stub(StubId),
-}
-
 enum EventKind {
-    Deliver { to: HostRef, from: Origin, pkt: Ipv4Packet },
+    Deliver { to: Host, from: Host, pkt: Ipv4Packet },
     Timer { node: NodeId, token: u64 },
     StubTimer { stub: StubId, timer: StubTimer },
 }
 
 /// Engine-level event and packet-verdict counters, updated on the same code
-/// paths that decide each [`TraceVerdict`]. Unlike the packet [`Trace`] these
-/// are always on (a handful of integer adds per packet) and unlike the pool
+/// paths that decide each [`TraceVerdict`]. Unlike the [`FlightRecorder`]
+/// these are always on (a handful of integer adds per packet) and unlike the pool
 /// counters they live on the simulator itself, so they are deterministic per
 /// seed and safe to fold into shard-merged telemetry snapshots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -375,7 +372,7 @@ pub struct Simulator {
     now: SimTime,
     seq: u64,
     rng: ChaCha20Rng,
-    trace: Trace,
+    recorder: Option<FlightRecorder>,
     counters: EngineCounters,
     started: bool,
 }
@@ -399,7 +396,7 @@ impl Simulator {
             now: SimTime::ZERO,
             seq: 0,
             rng: ChaCha20Rng::seed_from_u64(seed),
-            trace: Trace::new(),
+            recorder: None,
             counters: EngineCounters::default(),
             started: false,
         }
@@ -617,17 +614,49 @@ impl Simulator {
         m.incr("engine.packets.link_loss", self.counters.link_loss);
         m.incr("engine.packets.egress_filtered", self.counters.egress_filtered);
         m.incr("engine.packets.mtu_exceeded", self.counters.mtu_exceeded);
-        m.incr("engine.trace.dropped", self.trace.dropped());
+        m.incr("engine.trace.dropped", self.recorder.as_ref().map_or(0, FlightRecorder::dropped));
     }
 
-    /// The packet trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
+    /// Installs a flight recorder, replacing any installed one. From then on
+    /// every packet the engine delivers or drops is recorded into it, beside
+    /// the phase spans drivers open with [`span!`](crate::span).
+    pub fn install_recorder(&mut self, recorder: FlightRecorder) {
+        self.recorder = Some(recorder);
     }
 
-    /// Mutable access to the packet trace (e.g. to disable or clear it).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
+    /// The installed flight recorder, if any.
+    pub fn recorder(&self) -> Option<&FlightRecorder> {
+        self.recorder.as_ref()
+    }
+
+    /// Opens a span at the current sim time in the installed recorder; a
+    /// no-op, `detail` unformatted, when none is. Use the [`span!`](crate::span)
+    /// macro, which builds `detail`.
+    pub fn enter_span(&mut self, name: &'static str, detail: std::fmt::Arguments<'_>) {
+        if let Some(rec) = &mut self.recorder {
+            rec.enter(self.now, name, detail.to_string());
+        }
+    }
+
+    /// Closes the span `name` at the current sim time in the installed
+    /// recorder, if any.
+    pub fn exit_span(&mut self, name: &'static str) {
+        if let Some(rec) = &mut self.recorder {
+            rec.exit(self.now, name);
+        }
+    }
+
+    /// The name a host was registered under: the node name, the stub block
+    /// name plus the client's index in its block, or `router`.
+    pub fn host_name(&self, host: Host) -> String {
+        match host {
+            Host::Node(id) => self.nodes[id.0].name.clone(),
+            Host::Stub(id) => {
+                let b = &self.stub_blocks[self.block_of_stub(id)];
+                format!("{}{}", b.name, id.0 - b.first)
+            }
+            Host::Router => "router".to_string(),
+        }
     }
 
     /// Typed shared access to a node.
@@ -663,11 +692,11 @@ impl Simulator {
 
     /// Full routing including the stub arena: overrides, then node address
     /// ownership, then stub blocks.
-    fn host_lookup(&self, addr: Ipv4Addr) -> Option<HostRef> {
+    fn host_lookup(&self, addr: Ipv4Addr) -> Option<Host> {
         if let Some(node) = self.route_lookup(addr) {
-            return Some(HostRef::Node(node));
+            return Some(Host::Node(node));
         }
-        self.stub_lookup(addr).map(HostRef::Stub)
+        self.stub_lookup(addr).map(Host::Stub)
     }
 
     /// Schedules a timer for a node, from outside the node itself.
@@ -693,64 +722,39 @@ impl Simulator {
         self.events.push(time, seq, kind);
     }
 
-    /// The trace label for a packet origin. Only called when tracing is
-    /// enabled, so the stub `String` allocation never taxes big runs.
-    fn origin_label(nodes: &[NodeSlot], blocks: &[StubBlock], from: Origin) -> String {
-        match from {
-            Origin::Node(id) => nodes[id.0].name.clone(),
-            Origin::Stub(id) => Self::stub_label(blocks, id),
-            Origin::Router => "router".to_string(),
-        }
-    }
-
-    fn stub_label(blocks: &[StubBlock], id: StubId) -> String {
-        for b in blocks {
-            if id.0 >= b.first && id.0 - b.first < b.count {
-                return format!("{}{}", b.name, id.0 - b.first);
-            }
-        }
-        format!("stub{}", id.0)
-    }
-
     /// Routes and schedules one packet sent by a full node.
     fn dispatch(&mut self, from: NodeId, pkt: Ipv4Packet) {
-        self.dispatch_from(Origin::Node(from), pkt);
+        self.dispatch_from(Host::Node(from), pkt);
     }
 
     /// Routes and schedules one packet from any origin.
-    fn dispatch_from(&mut self, from: Origin, pkt: Ipv4Packet) {
+    fn dispatch_from(&mut self, from: Host, pkt: Ipv4Packet) {
         let wire_len = pkt.wire_len();
         let protocol = pkt.header.protocol;
         match from {
-            Origin::Node(id) => {
+            Host::Node(id) => {
                 self.nodes[id.0].stats.record_sent(protocol, wire_len);
                 // Egress filtering of spoofed sources (BCP 38).
                 if self.nodes[id.0].egress_filtering && !self.nodes[id.0].addrs.contains(&pkt.header.src) {
                     self.nodes[id.0].stats.spoofed_filtered += 1;
                     self.counters.egress_filtered += 1;
-                    if self.trace.enabled {
-                        let from_name = self.nodes[id.0].name.clone();
-                        self.trace.record_packet(self.now, &from_name, "-", &pkt, TraceVerdict::EgressFiltered);
-                    }
+                    self.record(from, None, &pkt, TraceVerdict::EgressFiltered);
                     pool::give(pkt.payload);
                     return;
                 }
             }
-            Origin::Stub(id) => {
+            Host::Stub(id) => {
                 let b = self.block_of_stub(id);
                 self.stub_blocks[b].stats.record_sent(protocol, wire_len);
                 self.stubs[id.0 as usize].sent += 1;
             }
-            Origin::Router => {}
+            Host::Router => {}
         }
 
         // Routing (route overrides model hijacked prefixes).
         let Some(to) = self.host_lookup(pkt.header.dst) else {
             self.count_transit_drop(from, TraceVerdict::NoRoute);
-            if self.trace.enabled {
-                let from_name = Self::origin_label(&self.nodes, &self.stub_blocks, from);
-                self.trace.record_packet(self.now, &from_name, "-", &pkt, TraceVerdict::NoRoute);
-            }
+            self.record(from, None, &pkt, TraceVerdict::NoRoute);
             pool::give(pkt.payload);
             return;
         };
@@ -759,11 +763,7 @@ impl Simulator {
         // Random loss.
         if link.loss > 0.0 && self.rng.gen::<f64>() < link.loss {
             self.count_transit_drop(from, TraceVerdict::LinkLoss);
-            if self.trace.enabled {
-                let from_name = Self::origin_label(&self.nodes, &self.stub_blocks, from);
-                let to_name = self.host_label(to);
-                self.trace.record_packet(self.now, &from_name, &to_name, &pkt, TraceVerdict::LinkLoss);
-            }
+            self.record(from, Some(to), &pkt, TraceVerdict::LinkLoss);
             pool::give(pkt.payload);
             return;
         }
@@ -772,11 +772,7 @@ impl Simulator {
         if pkt.wire_len() > usize::from(link.mtu) {
             if pkt.header.dont_fragment || !link.fragment_in_transit {
                 self.count_transit_drop(from, TraceVerdict::MtuExceeded);
-                if self.trace.enabled {
-                    let from_name = Self::origin_label(&self.nodes, &self.stub_blocks, from);
-                    let to_name = self.host_label(to);
-                    self.trace.record_packet(self.now, &from_name, &to_name, &pkt, TraceVerdict::MtuExceeded);
-                }
+                self.record(from, Some(to), &pkt, TraceVerdict::MtuExceeded);
                 // Generate an ICMP fragmentation-needed back to the sender,
                 // originated "by the network" (source = destination address of
                 // the oversized packet, a common real-world pattern for
@@ -789,12 +785,9 @@ impl Simulator {
                 );
                 pool::give(pkt.payload);
                 let time = self.now + link.latency;
-                let back_to = match from {
-                    Origin::Node(id) => HostRef::Node(id),
-                    Origin::Stub(id) => HostRef::Stub(id),
-                    Origin::Router => return,
-                };
-                self.push_event(time, EventKind::Deliver { to: back_to, from: Origin::Router, pkt: ptb });
+                if from != Host::Router {
+                    self.push_event(time, EventKind::Deliver { to: from, from: Host::Router, pkt: ptb });
+                }
                 return;
             }
             // Fragment in transit.
@@ -810,9 +803,16 @@ impl Simulator {
         self.push_event(time, EventKind::Deliver { to, from, pkt });
     }
 
+    /// Records the packet's verdict into the installed recorder, if any.
+    fn record(&mut self, from: Host, to: Option<Host>, pkt: &Ipv4Packet, verdict: TraceVerdict) {
+        if let Some(rec) = &mut self.recorder {
+            rec.record_packet(PacketEvent::new(self.now, from, to, pkt, verdict));
+        }
+    }
+
     /// Attributes a transit drop to the sender's stats, broken down by the
     /// verdict that caused it, and bumps the engine-wide verdict counter.
-    fn count_transit_drop(&mut self, from: Origin, verdict: TraceVerdict) {
+    fn count_transit_drop(&mut self, from: Host, verdict: TraceVerdict) {
         match verdict {
             TraceVerdict::NoRoute => self.counters.no_route += 1,
             TraceVerdict::LinkLoss => self.counters.link_loss += 1,
@@ -822,12 +822,12 @@ impl Simulator {
             }
         }
         let stats = match from {
-            Origin::Node(id) => &mut self.nodes[id.0].stats,
-            Origin::Stub(id) => {
+            Host::Node(id) => &mut self.nodes[id.0].stats,
+            Host::Stub(id) => {
                 let b = self.block_of_stub(id);
                 &mut self.stub_blocks[b].stats
             }
-            Origin::Router => return,
+            Host::Router => return,
         };
         stats.dropped_in_transit += 1;
         match verdict {
@@ -839,32 +839,25 @@ impl Simulator {
     }
 
     /// Attributes a delivered packet to the sender's verdict breakdown.
-    fn count_delivered(&mut self, from: Origin) {
+    fn count_delivered(&mut self, from: Host) {
         self.counters.delivered += 1;
         match from {
-            Origin::Node(id) => self.nodes[id.0].stats.delivered += 1,
-            Origin::Stub(id) => {
+            Host::Node(id) => self.nodes[id.0].stats.delivered += 1,
+            Host::Stub(id) => {
                 let b = self.block_of_stub(id);
                 self.stub_blocks[b].stats.delivered += 1;
             }
-            Origin::Router => {}
+            Host::Router => {}
         }
     }
 
     /// The link governing a flow. Node-to-node flows use the configured link
     /// table; any flow touching a stub client uses the stub link.
-    fn link_between(&self, from: Origin, to: HostRef) -> Link {
+    fn link_between(&self, from: Host, to: Host) -> Link {
         match (from, to) {
-            (Origin::Node(a), HostRef::Node(b)) => *self.links.get(&(a, b)).unwrap_or(&self.default_link),
-            (Origin::Router, HostRef::Node(_)) => self.default_link,
+            (Host::Node(a), Host::Node(b)) => *self.links.get(&(a, b)).unwrap_or(&self.default_link),
+            (Host::Router, Host::Node(_)) => self.default_link,
             _ => self.stub_link,
-        }
-    }
-
-    fn host_label(&self, to: HostRef) -> String {
-        match to {
-            HostRef::Node(id) => self.nodes[id.0].name.clone(),
-            HostRef::Stub(id) => Self::stub_label(&self.stub_blocks, id),
         }
     }
 
@@ -925,7 +918,7 @@ impl Simulator {
             f(handler.as_mut(), &mut ctx);
         }
         for pkt in outgoing.drain(..) {
-            self.dispatch_from(Origin::Stub(id), pkt);
+            self.dispatch_from(Host::Stub(id), pkt);
         }
         for (delay, timer) in timers.drain(..) {
             let time = self.now + delay;
@@ -935,32 +928,24 @@ impl Simulator {
         self.stub_timer_scratch = timers;
     }
 
-    fn deliver(&mut self, to: HostRef, from: Origin, pkt: Ipv4Packet) {
+    fn deliver(&mut self, to: Host, from: Host, pkt: Ipv4Packet) {
         self.count_delivered(from);
+        self.record(from, Some(to), &pkt, TraceVerdict::Delivered);
         match to {
-            HostRef::Node(id) => {
+            Host::Node(id) => {
                 self.nodes[id.0].stats.record_received(pkt.header.protocol, pkt.wire_len());
-                if self.trace.enabled {
-                    let from_name = Self::origin_label(&self.nodes, &self.stub_blocks, from);
-                    let to_name = self.nodes[id.0].name.clone();
-                    self.trace.record_packet(self.now, &from_name, &to_name, &pkt, TraceVerdict::Delivered);
-                }
                 self.with_node_ctx(id, |node, ctx| node.on_packet(ctx, pkt));
             }
-            HostRef::Stub(id) => {
+            Host::Stub(id) => {
                 let b = self.block_of_stub(id);
                 self.stub_blocks[b].stats.record_received(pkt.header.protocol, pkt.wire_len());
                 self.stubs[id.0 as usize].received += 1;
-                if self.trace.enabled {
-                    let from_name = Self::origin_label(&self.nodes, &self.stub_blocks, from);
-                    let to_name = Self::stub_label(&self.stub_blocks, id);
-                    self.trace.record_packet(self.now, &from_name, &to_name, &pkt, TraceVerdict::Delivered);
-                }
                 self.with_stub_ctx(id, |handler, ctx| handler.on_packet(ctx, &pkt));
                 // Stub deliveries borrow the packet, so the engine still owns
                 // the buffer here and can recycle it.
                 pool::give(pkt.payload);
             }
+            Host::Router => unreachable!("the network originates packets but never receives them"),
         }
     }
 
@@ -1059,13 +1044,16 @@ mod tests {
     #[test]
     fn no_route_packets_are_dropped() {
         let mut sim = Simulator::new(3);
+        sim.install_recorder(FlightRecorder::default());
         let a = sim.add_node("a", vec![A], EchoNode::default());
         sim.inject(a, udp(A, "99.99.99.99".parse().unwrap(), 10));
         sim.run();
         assert_eq!(sim.stats(a).dropped_in_transit, 1);
         assert_eq!(sim.stats(a).no_route, 1);
         assert_eq!(sim.counters().no_route, 1);
-        assert_eq!(sim.trace().matching("UDP").len(), 1);
+        let recorded: Vec<_> =
+            sim.recorder().unwrap().packets().map(|p| (p.from, p.to, p.verdict, p.header.protocol)).collect();
+        assert_eq!(recorded, vec![(Host::Node(a), None, TraceVerdict::NoRoute, Protocol::Udp)]);
     }
 
     #[test]
@@ -1102,6 +1090,69 @@ mod tests {
         assert_eq!(m.gauge("engine.events.pending"), 0);
         assert!(m.counter("engine.packets.link_loss") == 0);
         assert!(m.render().contains("engine.wheel.level0.occupancy"));
+    }
+
+    #[test]
+    fn new_simulators_record_nothing() {
+        // Off unless asked: a run on a fresh simulator leaves no recorder,
+        // and the span calls of the attack drivers are no-ops.
+        let mut sim = Simulator::new(4);
+        let a = sim.add_node("a", vec![A], EchoNode::default());
+        let b = sim.add_node("b", vec![B], EchoNode::default());
+        sim.connect(a, b, Link::default());
+        crate::span!(sim, "test.phase", "detail {}", 1);
+        sim.inject(a, udp(A, B, 10));
+        sim.run();
+        sim.exit_span("test.phase");
+        assert_eq!(sim.counters().delivered, 1);
+        assert!(sim.recorder().is_none());
+    }
+
+    #[test]
+    fn recorder_sees_every_verdict_and_exports_its_drops() {
+        fn run(recorder: Option<FlightRecorder>) -> (Simulator, NodeId, NodeId) {
+            let mut sim = Simulator::new(30);
+            if let Some(rec) = recorder {
+                sim.install_recorder(rec);
+            }
+            let a = sim.add_node("a", vec![A], SinkNode::default());
+            let b = sim.add_node("b", vec![B], SinkNode::default());
+            sim.connect(a, b, Link::default().mtu(576));
+            sim.set_egress_filtering(a, true);
+            sim.inject(a, udp(A, B, 10));
+            sim.inject(a, udp(C, B, 10));
+            sim.inject(a, udp(A, "99.99.99.99".parse().unwrap(), 10));
+            let mut big = udp(A, B, 1000);
+            big.header.dont_fragment = true;
+            sim.inject(a, big);
+            sim.run();
+            (sim, a, b)
+        }
+        let (sim, a, b) = run(Some(FlightRecorder::default()));
+        let seen: Vec<_> = sim.recorder().unwrap().packets().map(|p| (p.from, p.to, p.verdict)).collect();
+        let (na, nb) = (Host::Node(a), Host::Node(b));
+        assert_eq!(
+            seen,
+            vec![
+                (na, None, TraceVerdict::EgressFiltered),
+                (na, None, TraceVerdict::NoRoute),
+                (na, Some(nb), TraceVerdict::MtuExceeded),
+                (na, Some(nb), TraceVerdict::Delivered),
+                (Host::Router, Some(na), TraceVerdict::Delivered),
+            ]
+        );
+        assert_eq!(sim.host_name(Host::Router), "router");
+
+        let dropped = |sim: &Simulator| {
+            let mut m = telemetry::MetricsSnapshot::new();
+            sim.export_metrics(&mut m);
+            m.counter("engine.trace.dropped")
+        };
+        assert_eq!(dropped(&run(None).0), 0, "no recorder, nothing dropped");
+        assert_eq!(dropped(&sim), 0);
+        let (small, ..) = run(Some(FlightRecorder::new(2)));
+        assert_eq!(dropped(&small), 3, "a 2-event ring dropped three of five packets");
+        assert_eq!(small.counters(), sim.counters(), "recording does not change the run");
     }
 
     #[test]
@@ -1289,6 +1340,7 @@ mod tests {
     fn determinism_same_seed_same_trace() {
         fn run_once(seed: u64) -> Vec<String> {
             let mut sim = Simulator::new(seed);
+            sim.install_recorder(FlightRecorder::default());
             let a = sim.add_node("a", vec![A], EchoNode::default());
             let b = sim.add_node("b", vec![B], EchoNode::default());
             sim.connect(a, b, Link::default().loss(0.5));
@@ -1296,7 +1348,7 @@ mod tests {
                 sim.inject(a, udp(A, B, 10 + i));
             }
             sim.run();
-            sim.trace().entries().iter().map(|e| e.to_string()).collect()
+            sim.recorder().unwrap().dump_last(usize::MAX, &sim).lines().map(str::to_string).collect()
         }
         assert_eq!(run_once(42), run_once(42));
         assert_ne!(run_once(42), run_once(43));

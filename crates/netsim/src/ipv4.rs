@@ -242,40 +242,67 @@ impl Ipv4Packet {
         Ok(Ipv4Packet { header, payload: buf[IPV4_HEADER_LEN..total].to_vec() })
     }
 
-    /// A compact human-readable summary used by the trace recorder. TCP
-    /// segments include their flags and sequence/acknowledgment numbers, so
-    /// a trace records handshake interleavings (and seeded ISNs) exactly.
-    pub fn summary(&self) -> String {
-        let frag = if self.header.is_fragment() {
-            format!(
-                " frag(id={:#06x} off={} mf={})",
-                self.header.identification,
-                self.header.payload_byte_offset(),
-                self.header.more_fragments
-            )
-        } else {
-            String::new()
-        };
-        let tcp = if self.header.protocol == Protocol::Tcp
-            && !self.header.is_fragment()
-            && self.payload.len() >= crate::tcp::TCP_HEADER_LEN
+    /// The flags, sequence and acknowledgment numbers of an unfragmented
+    /// TCP segment; `None` for any other packet.
+    pub(crate) fn tcp_brief(&self) -> Option<TcpBrief> {
+        if self.header.protocol != Protocol::Tcp
+            || self.header.is_fragment()
+            || self.payload.len() < crate::tcp::TCP_HEADER_LEN
         {
-            let seq = u32::from_be_bytes([self.payload[4], self.payload[5], self.payload[6], self.payload[7]]);
-            let ack = u32::from_be_bytes([self.payload[8], self.payload[9], self.payload[10], self.payload[11]]);
-            format!(" [{}] seq={seq} ack={ack}", crate::tcp::TcpFlags::from_byte(self.payload[13]))
-        } else {
-            String::new()
+            return None;
+        }
+        let word = |at: usize| {
+            u32::from_be_bytes([self.payload[at], self.payload[at + 1], self.payload[at + 2], self.payload[at + 3]])
         };
-        format!(
-            "{} {} -> {} len={}{}{}",
-            self.header.protocol,
-            self.header.src,
-            self.header.dst,
-            self.wire_len(),
-            frag,
-            tcp
-        )
+        Some(TcpBrief { flags: crate::tcp::TcpFlags::from_byte(self.payload[13]), seq: word(4), ack: word(8) })
     }
+
+    /// A compact one-line summary: protocol, addresses, wire length,
+    /// fragment fields, and for TCP segments the flags and sequence and
+    /// acknowledgment numbers, so a recorded flow shows handshake
+    /// interleavings (and seeded ISNs) exactly. The flight recorder's packet
+    /// lines print the same text.
+    pub fn summary(&self) -> String {
+        let mut out = String::new();
+        let _ = write_summary(&mut out, &self.header, self.wire_len(), self.tcp_brief());
+        out
+    }
+}
+
+/// The TCP fields a packet summary shows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TcpBrief {
+    /// The segment's flag bits.
+    pub flags: crate::tcp::TcpFlags,
+    /// Sequence number.
+    pub seq: u32,
+    /// Acknowledgment number.
+    pub ack: u32,
+}
+
+/// Writes the one-line packet summary of [`Ipv4Packet::summary`] from the
+/// fields it shows, so a recorded packet event renders without keeping the
+/// payload.
+pub(crate) fn write_summary(
+    out: &mut impl fmt::Write,
+    header: &Ipv4Header,
+    wire_len: usize,
+    tcp: Option<TcpBrief>,
+) -> fmt::Result {
+    write!(out, "{} {} -> {} len={wire_len}", header.protocol, header.src, header.dst)?;
+    if header.is_fragment() {
+        write!(
+            out,
+            " frag(id={:#06x} off={} mf={})",
+            header.identification,
+            header.payload_byte_offset(),
+            header.more_fragments
+        )?;
+    }
+    if let Some(t) = tcp {
+        write!(out, " [{}] seq={} ack={}", t.flags, t.seq, t.ack)?;
+    }
+    Ok(())
 }
 
 /// Errors returned by the IPv4 codec.

@@ -23,8 +23,10 @@
 //!   hijack) and **source-address spoofing / egress-filtering** semantics
 //!   ([`link`], [`engine`]),
 //! * a single-threaded **discrete-event engine** with deterministic, seeded
-//!   randomness, per-node traffic accounting and a packet trace recorder
-//!   ([`engine`], [`trace`], [`stats`]).
+//!   randomness and per-node traffic accounting ([`engine`], [`stats`]),
+//! * an opt-in **flight recorder** the simulator owns: one bounded ring of
+//!   typed packet verdicts and attack-phase spans at sim-time resolution,
+//!   off unless installed ([`flight`]).
 //!
 //! The simulator is deliberately synchronous and deterministic (smoltcp-style
 //! polling rather than an async runtime): the attacks under study are
@@ -57,6 +59,7 @@
 pub mod checksum;
 pub mod engine;
 pub mod fasthash;
+pub mod flight;
 pub mod frag;
 pub mod icmp;
 pub mod ipv4;
@@ -69,7 +72,6 @@ pub mod stack;
 pub mod stats;
 pub mod tcp;
 pub mod time;
-pub mod trace;
 pub mod transport;
 pub mod udp;
 pub mod wheel;
@@ -77,9 +79,10 @@ pub mod wheel;
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
     pub use crate::engine::{
-        Ctx, EchoNode, EngineCounters, Node, NodeId, Simulator, SinkNode, StubCtx, StubHandler, StubId, StubState,
-        StubTimer,
+        Ctx, EchoNode, EngineCounters, Host, Node, NodeId, Simulator, SinkNode, StubCtx, StubHandler, StubId,
+        StubState, StubTimer,
     };
+    pub use crate::flight::{FlightEvent, FlightRecorder, PacketEvent, SpanEvent, SpanKind, TraceVerdict};
     pub use crate::frag::{fragment_packet, ReassemblyBuffer, ReassemblyConfig};
     pub use crate::icmp::{IcmpMessage, Unreachable};
     pub use crate::ipv4::{Ipv4Header, Ipv4Packet, Protocol};
@@ -91,7 +94,6 @@ pub mod prelude {
     pub use crate::stats::TrafficStats;
     pub use crate::tcp::{TcpConnection, TcpFlags, TcpSegment, TcpSocket, TcpState};
     pub use crate::time::{Duration, SimTime};
-    pub use crate::trace::{Trace, TraceEntry};
     pub use crate::transport::{
         with_io, Endpoint, FlowStats, Socket, SocketEvent, StackIo, TcpTransport, Transport, UdpSocket, UdpTransport,
     };

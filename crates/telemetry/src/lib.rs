@@ -4,23 +4,20 @@
 //! the seed, never of the worker count. Instrumentation has to obey the same
 //! law or it is useless for diagnosing cross-layer attack chains: a counter
 //! that wobbles with thread scheduling cannot tell a regression from noise.
-//! This crate provides the two deterministic primitives every layer shares:
+//! This crate provides the deterministic metrics every layer shares:
+//! [`MetricsSnapshot`], a hierarchical registry of counters, gauges and
+//! sim-time histograms keyed by `layer.subsystem.metric` names, with a
+//! **commutative, associative [`merge`](MetricsSnapshot::merge)** (the same
+//! laws as the campaign `Tally` trait). Per-shard snapshots folded in shard
+//! order render byte-identically at any worker count.
 //!
-//! * [`MetricsSnapshot`] — a hierarchical registry of counters, gauges and
-//!   sim-time histograms keyed by `layer.subsystem.metric` names, with a
-//!   **commutative, associative [`merge`](MetricsSnapshot::merge)** (the same
-//!   laws as the campaign `Tally` trait). Per-shard snapshots folded in shard
-//!   order render byte-identically at any worker count.
-//! * [`FlightRecorder`] — a bounded ring buffer of [`SpanEvent`]s recorded at
-//!   simulated-time resolution via [`enter`](FlightRecorder::enter) /
-//!   [`exit`](FlightRecorder::exit) (or the [`span!`] macro). After a failed
-//!   or surprising run, [`dump_last`](FlightRecorder::dump_last) prints the
-//!   last N events — the message-sequence view the all-or-nothing packet
-//!   trace is too expensive to keep at campaign scale.
+//! The per-run event stream (packet verdicts and attack-phase spans) lives
+//! with the clock that stamps it: the simulator owns an optional flight
+//! recorder (`netsim::flight`).
 //!
-//! Everything is plain data: no globals, no `std::time`, no I/O. Recording is
-//! explicitly threaded through the code that measures, so disabled telemetry
-//! is simply a `None` that never executes — zero cost in the hot paths.
+//! Everything is plain data: no globals, no `std::time`, no I/O. Exports are
+//! explicit reads of counters the code maintains anyway, so a run that
+//! exports nothing pays nothing.
 //!
 //! ## Register → record → merge → render
 //!
@@ -65,15 +62,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod flight;
 mod metrics;
 
-pub use flight::{FlightRecorder, SpanEvent, SpanKind};
 pub use metrics::{MetricsSnapshot, SimTimeHistogram};
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::flight::{FlightRecorder, SpanEvent, SpanKind};
     pub use crate::metrics::{MetricsSnapshot, SimTimeHistogram};
-    pub use crate::span;
 }

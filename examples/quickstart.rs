@@ -7,12 +7,15 @@
 
 use cross_layer_attacks::attacks::prelude::*;
 use cross_layer_attacks::dns::prelude::*;
+use cross_layer_attacks::netsim::prelude::{FlightRecorder, PacketEvent};
 
 fn main() {
     // Build the standard victim environment of the paper's Section 3 setup:
     // a victim AS (resolver + client), the target domain's nameserver, and an
     // off-path attacker that can spoof source addresses.
     let (mut sim, env) = VictimEnvConfig::default().build();
+    // Record the attack's packets (Figure 2's message flow).
+    sim.install_recorder(FlightRecorder::default());
 
     println!("victim resolver : {}", env.resolver_addr);
     println!("nameserver      : {} (announces {})", env.nameserver_addr, env.nameserver_prefix);
@@ -40,11 +43,11 @@ fn main() {
     let poisoned = env.resolver(&sim).cache().cached_a(&ns_glue, sim.now());
     println!("cache entry for {ns_glue}: {poisoned:?} (attacker is {})", env.attacker_addr);
 
-    // And the packet-level trace of the attack (Figure 2's message flow).
+    // And the last packets of the attack, from the flight recorder.
     println!();
-    println!("== last packets of the attack (trace excerpt) ==");
-    let entries = sim.trace().entries();
-    for entry in entries.iter().rev().take(12).rev() {
-        println!("{entry}");
+    println!("== last packets of the attack (flight recorder excerpt) ==");
+    let packets: Vec<&PacketEvent> = sim.recorder().expect("installed above").packets().collect();
+    for event in &packets[packets.len().saturating_sub(12)..] {
+        println!("{} {}", event.time, event.display(&sim));
     }
 }

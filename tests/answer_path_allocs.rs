@@ -1,16 +1,20 @@
-//! Exact allocation gate on the cache-hit answer path.
+//! Exact allocation gates on the cache-hit answer path and on packet
+//! recording.
 //!
 //! This binary installs its own counting `#[global_allocator]` (per thread,
 //! so the test harness's other threads never pollute a count) and asserts
 //! that, once warm, the operations a cache hit is made of allocate nothing:
 //! the cache lookup, name comparison and hashing, and writing the reply into
-//! a pooled packet buffer. Allocation counts do not depend on the host, so
-//! this locks the gain exactly where a timing could only hint at it.
+//! a pooled packet buffer. It also asserts that a flight recorder adds no
+//! allocation to a packet exchange. Allocation counts do not depend on the
+//! host, so this locks the gains exactly where a timing could only hint at
+//! them.
 
 use cross_layer_attacks::dns::message::encode_reply;
 use cross_layer_attacks::dns::prelude::*;
 use cross_layer_attacks::netsim::fasthash::FastHasher;
 use cross_layer_attacks::netsim::pool;
+use cross_layer_attacks::netsim::prelude::{FlightRecorder, Simulator, SinkNode, UdpDatagram};
 use cross_layer_attacks::netsim::time::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -144,4 +148,42 @@ fn writing_a_hit_reply_into_a_pooled_buffer_allocates_nothing() {
     assert_eq!(decoded.header.id, 99);
     assert!(decoded.question().expect("question").name.eq_case_sensitive(&question.name), "0x20 casing echoed");
     assert_eq!(decoded.answers, entry.records);
+}
+
+/// Allocations of one small UDP exchange (three DNS queries to a nameserver
+/// and its answers), measured after a warm-up exchange on a fresh thread, so
+/// both calls start from the same empty packet pool.
+fn udp_exchange_allocs(recorder: Option<FlightRecorder>) -> u64 {
+    std::thread::spawn(move || {
+        let (ns_addr, client_addr) = (Ipv4Addr::new(10, 0, 0, 53), Ipv4Addr::new(10, 0, 0, 1));
+        let mut zone = Zone::new(name("load.test"));
+        zone.add_a("q0.load.test", Ipv4Addr::new(10, 99, 0, 0));
+        let mut sim = Simulator::new(7);
+        sim.add_node("ns", vec![ns_addr], Nameserver::new(NameserverConfig::new(ns_addr), vec![zone]));
+        let client = sim.add_node("client", vec![client_addr], SinkNode::default());
+        if let Some(rec) = recorder {
+            sim.install_recorder(rec);
+        }
+        let exchange = |sim: &mut Simulator| {
+            for id in 0..3u16 {
+                let query = Message::query(id, name("q0.load.test"), RecordType::A).encode();
+                sim.inject(client, UdpDatagram::new(client_addr, ns_addr, 5353, 53, query).into_packet(id, 64));
+            }
+            sim.run();
+        };
+        exchange(&mut sim);
+        if let Some(rec) = sim.recorder() {
+            assert!(rec.dropped() > 0, "the warm-up filled the ring");
+        }
+        allocs(|| exchange(&mut sim))
+    })
+    .join()
+    .expect("exchange thread")
+}
+
+#[test]
+fn recording_packets_into_a_full_ring_allocates_nothing() {
+    let plain = udp_exchange_allocs(None);
+    let recorded = udp_exchange_allocs(Some(FlightRecorder::new(4)));
+    assert_eq!(recorded, plain, "a full recorder added {} allocations", recorded.abs_diff(plain));
 }

@@ -192,18 +192,22 @@ fn scenario_outcomes_are_identical_across_runs() {
 }
 
 /// Runs one full DNS-over-TCP resolution (client query → TCP handshake →
-/// framed query → framed answer → teardown) and returns the rendered packet
-/// trace plus the resolver's stats — everything an interleaving could leak
-/// into.
+/// framed query → framed answer → teardown) and returns the rendered flight
+/// recorder dump of its packets plus the resolver's stats — everything an
+/// interleaving could leak into.
 fn run_tcp_resolution(seed: u64) -> (String, u64, u64) {
     let mut cfg = VictimEnvConfig { seed, ..Default::default() };
     cfg.resolver = cfg.resolver.with_transport(UpstreamTransport::TcpOnly);
     let (mut sim, env) = cfg.build();
+    sim.install_recorder(FlightRecorder::default());
     env.trigger_query(&mut sim, QueryTrigger::InternalClient, &"www.vict.im".parse().unwrap(), RecordType::A, 9);
     sim.run();
     let resolver = env.resolver(&sim);
     assert_eq!(resolver.stats.responses_accepted, 1, "TCP resolution must complete");
-    let trace: String = sim.trace().render();
+    let rec = sim.recorder().expect("installed");
+    assert_eq!(rec.dropped(), 0, "the dump holds the whole resolution");
+    let trace = rec.dump_last(usize::MAX, &sim);
+    assert!(trace.contains("[SYN] seq="), "TCP segments render their seq and ack numbers: {trace}");
     (trace, sim.stats(env.resolver).tcp_sent, sim.stats(env.resolver).tcp_received)
 }
 
